@@ -24,7 +24,18 @@ Checks over a fig3_marshal_throughput JSON export:
    --max-break-even (default 1000).  A negative value means the
    specialized path failed to beat the interpreter at that size.
 
-Both gates compare series within ONE run on ONE machine, so they are
+4. Resolution pays for itself (--micro): for each workload's smallest
+   payload, cache_hit_ns + spec_ns_per_call must be below
+   interp_ns_per_call.  A caller that passes Specialize=true resolves the
+   program on every call, so if one cache hit plus the specialized encode
+   costs more than interpreting, asking for specialization is slower
+   than not asking exactly where per-call overhead matters most.  A
+   structural key rendered as text (one snprintf per node into a fresh
+   std::string) failed this on all three workloads (ints: 358 + 27 >
+   246 ns); the binary key built into a reused buffer passes with a
+   2.5-3.5x margin (4-vCPU Xeon, gcc 12.2).
+
+All gates compare series within ONE run on ONE machine, so they are
 load-tolerant in the way absolute-rate gates are not.
 
 Stdlib only; exit 0 on pass, 1 on a failed gate, 2 on usage errors.
@@ -135,6 +146,36 @@ def check_break_even(rows, max_calls, path):
     return checked, failures
 
 
+def check_resolution(rows, path):
+    hit_ns = {r.get("workload"): r.get("cache_hit_ns") for r in rows
+              if r.get("series") == "spec-compile"}
+    smallest = {}
+    for r in rows:
+        if r.get("series") != "break-even":
+            continue
+        w, payload = r.get("workload"), r.get("payload_bytes")
+        if w not in smallest or payload < smallest[w].get("payload_bytes"):
+            smallest[w] = r
+    failures = []
+    for w, r in sorted(smallest.items()):
+        hit = hit_ns.get(w)
+        interp = r.get("interp_ns_per_call")
+        spec = r.get("spec_ns_per_call")
+        where = f"{w}/{r.get('payload_bytes')}"
+        if not all(isinstance(v, (int, float)) for v in (hit, interp, spec)):
+            failures.append(f"{where}: missing cache_hit_ns, "
+                            "interp_ns_per_call or spec_ns_per_call")
+        elif hit + spec >= interp:
+            failures.append(
+                f"{where}: cache hit {hit:.0f} ns + specialized encode "
+                f"{spec:.0f} ns >= interpreter {interp:.0f} ns -- resolving "
+                "the program per call costs more than it saves")
+    if not smallest:
+        failures.append(f"{path}: no break-even rows to check resolution "
+                        "cost against")
+    return len(smallest), failures
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("fig3", help="fig3_marshal_throughput JSON export")
@@ -161,7 +202,7 @@ def main(argv=None):
         doc, args.max_compile_us)
     failures += budget_failures
 
-    be_checked = 0
+    be_checked = res_checked = 0
     if args.micro:
         try:
             micro = rows_of(load_doc(args.micro), args.micro)
@@ -171,13 +212,16 @@ def main(argv=None):
         be_checked, be_failures = check_break_even(
             micro, args.max_break_even, args.micro)
         failures += be_failures
+        res_checked, res_failures = check_resolution(micro, args.micro)
+        failures += res_failures
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
         return 1
     print(f"check_specialize: OK ({checked} speedup rows, "
-          f"{budget_checked} compile budgets, {be_checked} break-even rows)")
+          f"{budget_checked} compile budgets, {be_checked} break-even rows, "
+          f"{res_checked} resolution costs)")
     return 0
 
 

@@ -68,8 +68,9 @@ const InterpType DirentSeqTy = InterpType::counted(
 constexpr InterpWire XdrWire{true, true};
 
 /// The specialized programs stand in for load-time compilation of a
-/// dynamic IDL description: resolved once, reused per call (the program
-/// cache makes repeat resolution a hash lookup anyway).
+/// dynamic IDL description: resolved once, reused per call.  Resolving
+/// per call through the program cache adds a structural-key build and a
+/// locked table lookup (tens of ns; see micro_specialize's flag/call).
 const flick::flick_spec_program *specProgram(const InterpType &T) {
   const flick::flick_spec_program *P = flick::flick_specialize(T, XdrWire);
   if (!P) {

@@ -12,11 +12,16 @@
 ///
 ///   compile_ns      : one cold specialization (stencil selection, run
 ///                     fusion, hole patching), cache-clear cost removed
-///   cache_hit_ns    : resolving an already-compiled program (structural
-///                     hash + table lookup), the per-call cost of lazy
-///                     resolution instead of load-time resolution
+///   cache_hit_ns    : resolving an already-compiled program (binary
+///                     structural key build + table hit), the per-call
+///                     cost of lazy resolution instead of load-time
+///                     resolution
 ///   interp/spec ns  : per-call encode time for the tree-walking
 ///                     interpreter vs the specialized threaded program
+///                     run through a held program handle
+///   flag ns         : per-call encode time through
+///                     flick_interp_encode(..., Specialize=true), which
+///                     resolves the program on every call
 ///   break_even_calls: compile_ns / (interp_ns - spec_ns), the number of
 ///                     marshals after which specialization has paid for
 ///                     itself at that payload size
@@ -122,14 +127,16 @@ double cacheHitNs(const InterpType &T) {
 
 struct SizeRow {
   size_t Payload;
-  double InterpNs, SpecNs, BreakEven;
+  double InterpNs, SpecNs, FlagNs, BreakEven;
 };
 
-/// Times interp vs specialized encode for one payload and logs both the
-/// throughput rows (same schema as fig3) and the break-even row.
-template <typename Fn1, typename Fn2>
+/// Times interp, specialized (held handle) and Specialize-flagged encode
+/// for one payload and logs both the throughput rows (same schema as
+/// fig3) and the break-even row.
+template <typename Fn1, typename Fn2, typename Fn3>
 SizeRow measure(const char *Workload, size_t Payload, double CompileNanos,
-                flick_buf *Buf, Fn1 InterpEncode, Fn2 SpecEncode) {
+                flick_buf *Buf, Fn1 InterpEncode, Fn2 SpecEncode,
+                Fn3 FlagEncode) {
   TimeStats TI = timeIt([&] {
     flick_buf_reset(Buf);
     InterpEncode();
@@ -138,10 +145,15 @@ SizeRow measure(const char *Workload, size_t Payload, double CompileNanos,
     flick_buf_reset(Buf);
     SpecEncode();
   });
+  TimeStats TF = timeIt([&] {
+    flick_buf_reset(Buf);
+    FlagEncode();
+  });
   SizeRow R;
   R.Payload = Payload;
   R.InterpNs = TI.Best * 1e9;
   R.SpecNs = TS.Best * 1e9;
+  R.FlagNs = TF.Best * 1e9;
   double Saved = R.InterpNs - R.SpecNs;
   R.BreakEven = Saved > 0 ? CompileNanos / Saved : -1;
   JsonReport::get().addRate(Workload, "interp", Payload, TI,
@@ -156,6 +168,7 @@ SizeRow measure(const char *Workload, size_t Payload, double CompileNanos,
                             .num("compile_ns", CompileNanos)
                             .num("interp_ns_per_call", R.InterpNs)
                             .num("spec_ns_per_call", R.SpecNs)
+                            .num("flag_ns_per_call", R.FlagNs)
                             .num("speedup", Speedup)
                             .num("break_even_calls", R.BreakEven));
   return R;
@@ -166,16 +179,16 @@ void printTable(const char *Workload, double CompileNanos, double HitNanos,
   std::printf("\n%s: compile %.0f ns, cache hit %.0f ns, %llu steps fused\n",
               Workload, CompileNanos, HitNanos,
               static_cast<unsigned long long>(StepsFused));
-  std::printf("%8s %14s %14s %9s %12s\n", "size", "interp/call", "spec/call",
-              "speedup", "break-even");
+  std::printf("%8s %14s %14s %14s %9s %12s\n", "size", "interp/call",
+              "spec/call", "flag/call", "speedup", "break-even");
   for (const SizeRow &R : Rows) {
     char BE[32];
     if (R.BreakEven < 0)
       std::snprintf(BE, sizeof(BE), "%12s", "never");
     else
       std::snprintf(BE, sizeof(BE), "%9.1f calls", R.BreakEven);
-    std::printf("%8s %12.0fns %12.0fns %8.1fx %s\n",
-                fmtBytes(R.Payload).c_str(), R.InterpNs, R.SpecNs,
+    std::printf("%8s %12.0fns %12.0fns %12.0fns %8.1fx %s\n",
+                fmtBytes(R.Payload).c_str(), R.InterpNs, R.SpecNs, R.FlagNs,
                 R.SpecNs > 0 ? R.InterpNs / R.SpecNs : 0, BE);
   }
 }
@@ -219,7 +232,8 @@ void benchInts() {
     Rows.push_back(measure(
         "ints", Bytes, CompileNanos, &Buf,
         [&] { flick_interp_encode(&Buf, IntSeqTy, &S, XdrWire); },
-        [&] { flick_spec_encode(&Buf, P, &S); }));
+        [&] { flick_spec_encode(&Buf, P, &S); },
+        [&] { flick_interp_encode(&Buf, IntSeqTy, &S, XdrWire, true); }));
   }
   flick_buf_destroy(&Buf);
   printTable("ints", CompileNanos, HitNanos, P->StepsFused, Rows);
@@ -243,7 +257,8 @@ void benchRects() {
     Rows.push_back(measure(
         "rects", Bytes, CompileNanos, &Buf,
         [&] { flick_interp_encode(&Buf, RectSeqTy, &S, XdrWire); },
-        [&] { flick_spec_encode(&Buf, P, &S); }));
+        [&] { flick_spec_encode(&Buf, P, &S); },
+        [&] { flick_interp_encode(&Buf, RectSeqTy, &S, XdrWire, true); }));
   }
   flick_buf_destroy(&Buf);
   printTable("rects", CompileNanos, HitNanos, P->StepsFused, Rows);
@@ -270,7 +285,8 @@ void benchDirents() {
     Rows.push_back(measure(
         "dirents", Bytes, CompileNanos, &Buf,
         [&] { flick_interp_encode(&Buf, DirentSeqTy, &S, XdrWire); },
-        [&] { flick_spec_encode(&Buf, P, &S); }));
+        [&] { flick_spec_encode(&Buf, P, &S); },
+        [&] { flick_interp_encode(&Buf, DirentSeqTy, &S, XdrWire, true); }));
   }
   flick_buf_destroy(&Buf);
   printTable("dirents", CompileNanos, HitNanos, P->StepsFused, Rows);

@@ -25,17 +25,26 @@ int flick_buf_grow(flick_buf *b, size_t need) {
   return FLICK_OK;
 }
 
-void flick_swap_copy_u16(uint8_t *dst, const uint8_t *src, size_t halves) {
+// The swap-copy loops are the specialized tier's bulk kernels for
+// byte-order-mismatched arrays.  Each is a one-iteration-per-cycle loop
+// that runs at half speed when it straddles a 64-byte line (measured on a
+// 4-vCPU Xeon, gcc 12.2), so a size change in unrelated code linked ahead
+// of them could halve spec-tier XDR throughput.  Starting each function
+// on a line keeps its loop inside one.
+__attribute__((aligned(64))) void
+flick_swap_copy_u16(uint8_t *dst, const uint8_t *src, size_t halves) {
   for (size_t i = 0; i != halves; ++i)
     flick_enc_u16be(dst + 2 * i, flick_dec_u16le(src + 2 * i));
 }
 
-void flick_swap_copy_u32(uint8_t *dst, const uint8_t *src, size_t words) {
+__attribute__((aligned(64))) void
+flick_swap_copy_u32(uint8_t *dst, const uint8_t *src, size_t words) {
   for (size_t i = 0; i != words; ++i)
     flick_enc_u32be(dst + 4 * i, flick_dec_u32le(src + 4 * i));
 }
 
-void flick_swap_copy_u64(uint8_t *dst, const uint8_t *src, size_t dwords) {
+__attribute__((aligned(64))) void
+flick_swap_copy_u64(uint8_t *dst, const uint8_t *src, size_t dwords) {
   for (size_t i = 0; i != dwords; ++i)
     flick_enc_u64be(dst + 8 * i, flick_dec_u64le(src + 8 * i));
 }

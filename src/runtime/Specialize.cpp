@@ -19,8 +19,10 @@
 //              fixed-size region instead of per-field checks (the
 //              bounds-hoisting pass).
 //
-// Programs land in a process-wide cache keyed by the canonical structural
-// serialization of (type tree, wire convention); unspecializable trees
+// Programs land in a process-wide cache keyed by the canonical binary
+// structural key of (type tree, wire convention).  A lookup writes the key
+// into a reused thread-local buffer and probes the table with a view of
+// it, so a cache hit neither formats nor allocates.  Unspecializable trees
 // cache a null so repeated lookups stay cheap and fall back to the
 // interpreter.
 //
@@ -28,9 +30,10 @@
 
 #include "runtime/Specialize.h"
 #include <chrono>
-#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 using namespace flick;
@@ -552,56 +555,96 @@ std::unique_ptr<flick_spec_program> compileProgram(const InterpType &T,
 // Structural key and program cache
 //===----------------------------------------------------------------------===//
 
-void keyNode(const InterpType &T, std::string &Out) {
-  char Buf[96];
+/// Appends \p T's key to \p Buf at \p Len: a kind tag byte, then the
+/// kind's fields at fixed width (host byte order).  Struct fields are
+/// preceded by their count and an element type by a presence byte, so the
+/// encoding is prefix-free: two trees write the same bytes exactly when
+/// they are structurally identical.  Buf only ever grows, so a reused
+/// buffer writes a key without allocating once it is warm.
+void keyNode(const InterpType &T, std::string &Buf, size_t &Len) {
+  constexpr size_t MaxNodeBytes = 1 + 3 * sizeof(size_t) + 1;
+  if (Buf.size() < Len + MaxNodeBytes)
+    Buf.resize(2 * (Len + MaxNodeBytes));
+  char *P = Buf.data() + Len;
+  auto Put = [&P](auto V) {
+    std::memcpy(P, &V, sizeof(V));
+    P += sizeof(V);
+  };
+  Put(static_cast<uint8_t>(T.K));
   switch (T.K) {
   case InterpType::Kind::Scalar:
-    std::snprintf(Buf, sizeof(Buf), "s%zu.%u%s", T.Offset, T.Width,
-                  T.IsFloat ? "f" : "");
-    Out += Buf;
-    return;
+    Put(T.Offset);
+    Put(T.Width);
+    Put(static_cast<uint8_t>(T.IsFloat));
+    break;
   case InterpType::Kind::Bytes:
-    std::snprintf(Buf, sizeof(Buf), "b%zu.%zu", T.Offset, T.Count);
-    Out += Buf;
-    return;
+    Put(T.Offset);
+    Put(T.Count);
+    break;
   case InterpType::Kind::CString:
-    std::snprintf(Buf, sizeof(Buf), "c%zu", T.Offset);
-    Out += Buf;
-    return;
+    Put(T.Offset);
+    break;
   case InterpType::Kind::Struct:
-    Out += "S(";
-    for (const InterpType &F : T.Fields) {
-      keyNode(F, Out);
-      Out += ",";
-    }
-    Out += ")";
-    return;
+    Put(T.Fields.size());
+    break;
   case InterpType::Kind::FixedArray:
-    std::snprintf(Buf, sizeof(Buf), "A%zu.%zu.%zu(", T.Offset, T.Count,
-                  T.HostStride);
-    Out += Buf;
-    if (T.Elem)
-      keyNode(*T.Elem, Out);
-    else
-      Out += "!";
-    Out += ")";
-    return;
+    Put(T.Offset);
+    Put(T.Count);
+    Put(T.HostStride);
+    Put(static_cast<uint8_t>(T.Elem != nullptr));
+    break;
   case InterpType::Kind::Counted:
-    std::snprintf(Buf, sizeof(Buf), "C%zu.%zu.%zu(", T.LenOffset,
-                  T.BufOffset, T.HostStride);
-    Out += Buf;
-    if (T.Elem)
-      keyNode(*T.Elem, Out);
-    else
-      Out += "!";
-    Out += ")";
-    return;
+    Put(T.LenOffset);
+    Put(T.BufOffset);
+    Put(T.HostStride);
+    Put(static_cast<uint8_t>(T.Elem != nullptr));
+    break;
+  }
+  Len = static_cast<size_t>(P - Buf.data());
+  if (T.K == InterpType::Kind::Struct) {
+    for (const InterpType &F : T.Fields)
+      keyNode(F, Buf, Len);
+  } else if (T.Elem && (T.K == InterpType::Kind::FixedArray ||
+                        T.K == InterpType::Kind::Counted)) {
+    keyNode(*T.Elem, Buf, Len);
   }
 }
 
+/// Builds the structural key of (\p T, \p W) into \p Buf: one byte for
+/// the wire convention, then the tree.  The returned view points into Buf.
+std::string_view buildKey(const InterpType &T, const InterpWire &W,
+                          std::string &Buf) {
+  if (Buf.empty())
+    Buf.resize(1);
+  Buf[0] = static_cast<char>(W.BigEndian | (W.XdrWidening << 1));
+  size_t Len = 1;
+  keyNode(T, Buf, Len);
+  return {Buf.data(), Len};
+}
+
+uint64_t fnv1a(std::string_view Key) {
+  uint64_t H = 1469598103934665603ull; // FNV-1a 64
+  for (char Ch : Key) {
+    H ^= static_cast<uint8_t>(Ch);
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// Hashes stored std::string keys and std::string_view probes alike, so a
+/// lookup never materializes a std::string.
+struct KeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view Key) const {
+    return std::hash<std::string_view>{}(Key);
+  }
+};
+
 struct SpecCache {
   std::mutex Mu;
-  std::unordered_map<std::string, std::unique_ptr<flick_spec_program>> Map;
+  std::unordered_map<std::string, std::unique_ptr<flick_spec_program>,
+                     KeyHash, std::equal_to<>>
+      Map;
 };
 
 SpecCache &cache() {
@@ -613,26 +656,20 @@ SpecCache &cache() {
 
 std::string flick::flick_spec_structural_key(const InterpType &T,
                                              const InterpWire &W) {
-  std::string Key = W.BigEndian ? "be" : "le";
-  Key += W.XdrWidening ? "x:" : "c:";
-  keyNode(T, Key);
-  return Key;
+  std::string Buf;
+  return std::string(buildKey(T, W, Buf));
 }
 
 uint64_t flick::flick_spec_structural_hash(const InterpType &T,
                                            const InterpWire &W) {
-  std::string Key = flick_spec_structural_key(T, W);
-  uint64_t H = 1469598103934665603ull; // FNV-1a 64
-  for (char Ch : Key) {
-    H ^= static_cast<uint8_t>(Ch);
-    H *= 1099511628211ull;
-  }
-  return H;
+  std::string Buf;
+  return fnv1a(buildKey(T, W, Buf));
 }
 
 const flick_spec_program *flick::flick_specialize(const InterpType &T,
                                                   const InterpWire &W) {
-  std::string Key = flick_spec_structural_key(T, W);
+  thread_local std::string Buf;
+  std::string_view Key = buildKey(T, W, Buf);
   SpecCache &C = cache();
   std::lock_guard<std::mutex> Lock(C.Mu);
   auto It = C.Map.find(Key);
@@ -648,12 +685,12 @@ const flick_spec_program *flick::flick_specialize(const InterpType &T,
           .count());
   flick_metric_add(&flick_metrics::spec_compile_ns, Ns);
   if (P) {
-    P->Hash = flick_spec_structural_hash(T, W);
+    P->Hash = fnv1a(Key);
     flick_metric_add(&flick_metrics::spec_programs, 1);
     flick_metric_add(&flick_metrics::spec_steps_fused, P->StepsFused);
   }
   const flick_spec_program *Raw = P.get();
-  C.Map.emplace(std::move(Key), std::move(P));
+  C.Map.emplace(Key, std::move(P));
   return Raw;
 }
 

@@ -11,16 +11,19 @@
 /// across the fig3 presentation types (ints, rects, counted sequences,
 /// cstrings, nested structs) on both wire conventions, decode exactly
 /// what the interpreter decodes, fail cleanly on truncation, and share
-/// one compiled program per structural hash.  (Equivalence against the
+/// one compiled program per structural key -- and only per structural
+/// key, including under concurrent first use.  (Equivalence against the
 /// compiled stubs is asserted in the integration binary, which owns
 /// generated headers.)
 ///
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Specialize.h"
+#include <atomic>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace flick;
@@ -364,6 +367,221 @@ TEST(SpecCache, DistinctTreesAndWiresCompileSeparately) {
   EXPECT_EQ(M.spec_cache_hits, 0u);
   EXPECT_EQ(flick_spec_cache_size(), 3u);
   flick_metrics_disable();
+}
+
+/// One host value every key-distinctness variant below can read: scalar,
+/// byte and fixed-array variants use offsets from 24 up; counted variants
+/// read a length at 0 or 4 and an element pointer at 8 or 16.
+struct TBlob {
+  uint32_t Len0, Len4;
+  const int32_t *Buf8, *Buf16;
+  uint8_t Raw[40];
+};
+
+const InterpType Int4 = InterpType::scalar(0, 4);
+
+struct KeyPair {
+  const char *What;
+  InterpType A, B;
+};
+
+/// Tree pairs that differ in exactly one field.
+std::vector<KeyPair> keyPairs() {
+  auto S = [](size_t Off) { return InterpType::scalar(Off, 4); };
+  using IT = InterpType;
+  return {
+      {"scalar offset", S(24), S(28)},
+      {"scalar width", IT::scalar(24, 4), IT::scalar(24, 8)},
+      {"scalar IsFloat", IT::scalar(24, 4), IT::scalar(24, 4, true)},
+      {"bytes count", IT::bytes(24, 8), IT::bytes(24, 12)},
+      {"fixed-array count", IT::fixedArray(24, &Int4, 4, 4),
+       IT::fixedArray(24, &Int4, 5, 4)},
+      {"fixed-array stride", IT::fixedArray(24, &Int4, 4, 4),
+       IT::fixedArray(24, &Int4, 4, 8)},
+      {"counted len offset", IT::counted(0, 8, &Int4, 4),
+       IT::counted(4, 8, &Int4, 4)},
+      {"counted buf offset", IT::counted(0, 8, &Int4, 4),
+       IT::counted(0, 16, &Int4, 4)},
+      {"counted stride", IT::counted(0, 8, &Int4, 4),
+       IT::counted(0, 8, &Int4, 8)},
+      {"null vs non-null Elem",
+       IT::structOf({S(24), IT::fixedArray(28, nullptr, 0, 4)}),
+       IT::structOf({S(24), IT::fixedArray(28, &Int4, 0, 4)})},
+      {"struct field count", IT::structOf({S(24), S(28)}),
+       IT::structOf({S(24), S(28), S(32)})},
+      {"nested vs flattened",
+       IT::structOf({IT::structOf({S(24), S(28)}), S(32)}),
+       IT::structOf({S(24), S(28), S(32)})},
+      {"struct nesting boundary",
+       IT::structOf({IT::structOf({S(24)}), S(28)}),
+       IT::structOf({IT::structOf({S(24), S(28)})})},
+  };
+}
+
+/// Asserts that every path through the specializer -- the program handle
+/// when \p T specializes, and the Specialize-flagged entry points either
+/// way -- produces the interpreter's bytes for \p Val.
+void expectSpecMatchesInterp(const InterpType &T, const InterpWire &W,
+                             const void *Val) {
+  flick_buf IB, FB;
+  flick_buf_init(&IB);
+  flick_buf_init(&FB);
+  ASSERT_EQ(flick_interp_encode(&IB, T, Val, W), FLICK_OK);
+  ASSERT_EQ(flick_interp_encode(&FB, T, Val, W, true), FLICK_OK);
+  std::vector<uint8_t> Wire = bufBytes(&IB);
+  EXPECT_EQ(bufBytes(&FB), Wire);
+  if (flick_specialize(T, W)) {
+    encodeBothWays(T, Val, W);
+    TBlob Out{};
+    flick_arena Ar{};
+    decodeAndReencode(T, W, Wire, &Out, &Ar);
+    flick_arena_destroy(&Ar);
+  }
+  flick_buf_destroy(&IB);
+  flick_buf_destroy(&FB);
+}
+
+TEST(SpecCache, TreesDifferingInOneFieldGetDistinctKeysAndPrograms) {
+  flick_spec_cache_clear();
+  const int32_t Elems[6] = {1, -2, 3, -4, 5, -6};
+  TBlob Val{3, 3, Elems, Elems, {}};
+  for (size_t I = 0; I != sizeof(Val.Raw); ++I)
+    Val.Raw[I] = static_cast<uint8_t>(0x11 * I + 7);
+  for (const KeyPair &KP : keyPairs()) {
+    for (const InterpWire &W : {Xdr, CdrLE}) {
+      SCOPED_TRACE(std::string(KP.What) +
+                   (W.XdrWidening ? " (XDR)" : " (CDR-LE)"));
+      EXPECT_NE(flick_spec_structural_key(KP.A, W),
+                flick_spec_structural_key(KP.B, W));
+      EXPECT_NE(flick_spec_structural_hash(KP.A, W),
+                flick_spec_structural_hash(KP.B, W));
+      EXPECT_NE(flick_specialize(KP.A, W), flick_specialize(KP.B, W));
+      expectSpecMatchesInterp(KP.A, W, &Val);
+      expectSpecMatchesInterp(KP.B, W, &Val);
+    }
+  }
+  // Without a presence byte these two would write the same bytes: a null
+  // element followed by a sibling array must not read as that sibling
+  // nested as the element.  Both are refusals, so only keys can differ.
+  const InterpType Inner = InterpType::fixedArray(28, nullptr, 0, 4);
+  const InterpType NullThenSibling = InterpType::structOf(
+      {InterpType::fixedArray(24, nullptr, 0, 4),
+       InterpType::fixedArray(28, &Int4, 0, 4)});
+  const InterpType NestedSibling = InterpType::structOf(
+      {InterpType::fixedArray(24, &Inner, 0, 4), Int4});
+  EXPECT_NE(flick_spec_structural_key(NullThenSibling, Xdr),
+            flick_spec_structural_key(NestedSibling, Xdr));
+}
+
+TEST(SpecCache, ClearedCacheRecompilesOnNextLookup) {
+  flick_spec_cache_clear();
+  flick_metrics M;
+  flick_metrics_enable(&M);
+  ASSERT_NE(flick_specialize(RectSeqTy, Xdr), nullptr);
+  ASSERT_NE(flick_specialize(RectSeqTy, Xdr), nullptr);
+  EXPECT_EQ(M.spec_programs, 1u);
+  EXPECT_EQ(M.spec_cache_hits, 1u);
+  flick_spec_cache_clear();
+  EXPECT_EQ(flick_spec_cache_size(), 0u);
+  ASSERT_NE(flick_specialize(RectSeqTy, Xdr), nullptr);
+  EXPECT_EQ(M.spec_programs, 2u) << "a cleared cache must not serve hits";
+  EXPECT_EQ(M.spec_cache_hits, 1u);
+  EXPECT_EQ(flick_spec_cache_size(), 1u);
+  flick_metrics_disable();
+  std::vector<TRect> Rects(3, TRect{5, -6, 7, -8});
+  TRectSeq S{uint32_t(Rects.size()), Rects.data()};
+  encodeBothWays(RectSeqTy, &S, Xdr);
+}
+
+TEST(SpecCache, ConcurrentLookupAndCompile) {
+  TScalars Scalars{-77, 2.5, 200, -5000000000LL, 40000};
+  TRect Rect{-1, 2, 300000, INT32_MIN};
+  std::vector<TRect> Rects(9, Rect);
+  TRectSeq RectSeq{uint32_t(Rects.size()), Rects.data()};
+  std::vector<int32_t> Ints(100, -3);
+  TIntSeq IntSeq{uint32_t(Ints.size()), Ints.data()};
+  char Name[] = "concurrent";
+  TDirent Dirents[2]{};
+  Dirents[0].Name = Name;
+  Dirents[1].Name = Name;
+  Dirents[1].Info.Words[3] = 0xDEADBEEF;
+  TDirentSeq DirentSeq{2, Dirents};
+  struct Job {
+    const InterpType &T;
+    InterpWire W;
+    const void *Val;
+    std::vector<uint8_t> Want;
+  };
+  std::vector<Job> Jobs = {
+      {ScalarsTy, Xdr, &Scalars, {}},
+      {RectTy, CdrLE, &Rect, {}},
+      {RectSeqTy, Xdr, &RectSeq, {}},
+      {IntSeqTy, CdrLE, &IntSeq, {}},
+      {DirentSeqTy, Xdr, &DirentSeq, {}},
+      {DirentTy, CdrLE, &Dirents[1], {}},
+  };
+  for (Job &J : Jobs) {
+    flick_buf B;
+    flick_buf_init(&B);
+    ASSERT_EQ(flick_interp_encode(&B, J.T, J.Val, J.W), FLICK_OK);
+    J.Want = bufBytes(&B);
+    flick_buf_destroy(&B);
+  }
+
+  flick_spec_cache_clear();
+  constexpr unsigned Threads = 4, Rounds = 200;
+  std::atomic<unsigned> Ready{0}, Mismatches{0};
+  std::atomic<uint64_t> Programs{0}, Hits{0};
+  std::vector<std::thread> Pool;
+  for (unsigned Tid = 0; Tid != Threads; ++Tid)
+    Pool.emplace_back([&, Tid] {
+      flick_metrics M;
+      flick_metrics_enable(&M);
+      // Start together, two threads per starting type, so first use of
+      // one type races between threads, compiles of different types race
+      // each other, and hits race with programs just inserted.
+      ++Ready;
+      while (Ready.load() != Threads) {
+      }
+      for (unsigned R = 0; R != Rounds; ++R)
+        for (size_t I = 0; I != Jobs.size(); ++I) {
+          const Job &J = Jobs[(I + Tid / 2 * 3) % Jobs.size()];
+          flick_buf B, Re;
+          flick_buf_init(&B);
+          flick_buf_init(&Re);
+          union {
+            TScalars S;
+            TRect R;
+            TRectSeq RS;
+            TIntSeq IS;
+            TDirentSeq DS;
+            TDirent D;
+          } Out{};
+          flick_arena Ar{};
+          bool Ok =
+              flick_interp_encode(&B, J.T, J.Val, J.W, true) == FLICK_OK &&
+              bufBytes(&B) == J.Want &&
+              flick_interp_decode(&B, J.T, &Out, J.W, &Ar, true) ==
+                  FLICK_OK &&
+              B.pos == B.len &&
+              flick_interp_encode(&Re, J.T, &Out, J.W) == FLICK_OK &&
+              bufBytes(&Re) == J.Want;
+          Mismatches += !Ok;
+          flick_arena_destroy(&Ar);
+          flick_buf_destroy(&Re);
+          flick_buf_destroy(&B);
+        }
+      Programs += M.spec_programs;
+      Hits += M.spec_cache_hits;
+      flick_metrics_disable();
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_EQ(flick_spec_cache_size(), Jobs.size());
+  EXPECT_EQ(Programs.load(), Jobs.size()) << "each type compiles once";
+  EXPECT_EQ(Programs.load() + Hits.load(),
+            uint64_t(Threads) * Rounds * Jobs.size() * 2);
 }
 
 //===----------------------------------------------------------------------===//
