@@ -3,7 +3,8 @@
 #
 # Runs flickc at build time and sets <outvar> to the generated sources
 # (header + client + server [+ common xdr file when COMMON is given, i.e.
-# for the non-inlining naive back end]).  Consumers must add
+# for the non-inlining naive back end]), which compile with -Wall -Wextra
+# -Werror.  Consumers must add
 # ${CMAKE_CURRENT_BINARY_DIR}/gen to their include path.
 function(flick_generate OUTVAR)
   cmake_parse_arguments(FG "COMMON" "IDL;BASE" "ARGS" ${ARGN})
@@ -23,5 +24,9 @@ function(flick_generate OUTVAR)
     DEPENDS flickc ${idl}
     COMMENT "flickc ${FG_IDL} -> ${FG_BASE}"
     VERBATIM)
+  # Generated stubs must compile warning-free: the build itself is the
+  # check.  -Wunused-parameter overrides the project-wide -Wno- for them.
+  set_source_files_properties(${outs} PROPERTIES
+    COMPILE_OPTIONS "-Wall;-Wextra;-Wunused-parameter;-Werror")
   set(${OUTVAR} ${outs} PARENT_SCOPE)
 endfunction()

@@ -305,6 +305,12 @@ private:
   uint64_t ChunkOff = 0;
   uint64_t ChunkCap = 0;
   unsigned ChunkCounter = 0;
+  /// The open decode chunk's `_chkN = flick_buf_take(...)` declaration,
+  /// and whether any chunk address has been emitted since it opened.
+  CastStmt *ChunkDecl = nullptr;
+  bool ChunkRead = false;
+  /// Whether the function body being generated names `_ar`.
+  bool ArenaRead = false;
   unsigned VarCounter = 0;
   /// When positive (encode side), buffer space is pre-ensured for the
   /// current bounded segment and ensure calls are elided (paper §3.1).
@@ -346,6 +352,9 @@ private:
   // Wire-level chunk primitives shared by the public put*/get* wrappers.
   void putWire(unsigned Size, CastExpr *WireVal);
   CastExpr *getWire(unsigned Size);
+  /// Chunk-relative address expression `Var + Off` (or just `Var`); marks
+  /// the open chunk as read.
+  CastExpr *chunkAddr(const std::string &Var, uint64_t Off);
   void putAtomicConv(const PresNode *P, CastExpr *Val);
   void getAtomicConv(const PresNode *P, CastExpr *Val);
 };

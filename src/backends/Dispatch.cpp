@@ -184,8 +184,10 @@ StubGen::genDispatchCase(const PresCInterface &If,
       ImplArgs.push_back(B.addr(B.id("_retval")));
     }
     RcVar = freshVar("_rc");
-    stmt(B.varDecl(B.prim("int"), RcVar,
-                   B.call(Op.ServerImplName, ImplArgs)));
+    CastExpr *Work = B.call(Op.ServerImplName, ImplArgs);
+    // A oneway has no reply to carry a failure, so its status is dropped
+    // (its name is still drawn, keeping later locals' numbers stable).
+    stmt(Op.Oneway ? B.exprStmt(Work) : B.varDecl(B.prim("int"), RcVar, Work));
   }
   if (options().TraceHooks)
     stmt(B.rawStmt("flick_span_end();"));

@@ -173,8 +173,7 @@ void IiopBackend::emitRequestHeaderDecode(StubGen &G,
       B.call("flick_buf_take", {G.bufExpr(), B.id("_nlen")})));
   G.stmt(B.rawStmt("if (flick_buf_align_read(_req, 4)) "
                    "return FLICK_ERR_DECODE;"));
-  G.openChunk(4); // principal length (ignored)
-  G.getU32();
+  G.openChunk(4); // principal length (skipped unread)
   G.closeChunk();
   // The encoder rounds its fixed header chunk up to 8 bytes; skip the
   // same padding here so the body starts on the shared boundary.

@@ -19,6 +19,7 @@
 #include "presgen/PresGen.h"
 #include "support/Stats.h"
 #include "support/StringExtras.h"
+#include <algorithm>
 #include <cassert>
 
 using namespace flick;
@@ -72,14 +73,16 @@ void StubGen::openChunk(uint64_t Bytes) {
                    B.call("flick_buf_grab", {bufExpr(), B.unum(Bytes)})));
   } else {
     checkAvail(B.unum(Bytes));
-    stmt(B.varDecl(B.constPtr(B.prim("uint8_t")), ChunkVar,
-                   B.call("flick_buf_take", {bufExpr(), B.unum(Bytes)})));
+    ChunkDecl =
+        B.varDecl(B.constPtr(B.prim("uint8_t")), ChunkVar,
+                  B.call("flick_buf_take", {bufExpr(), B.unum(Bytes)}));
+    stmt(ChunkDecl);
   }
+  ChunkRead = false;
 }
 
-/// Chunk-relative address expression `_chk + Off` (or just `_chk`).
-static CastExpr *chunkAddr(CastBuilder &B, const std::string &Var,
-                           uint64_t Off) {
+CastExpr *StubGen::chunkAddr(const std::string &Var, uint64_t Off) {
+  ChunkRead = true;
   if (Off == 0)
     return B.id(Var);
   return B.add(B.id(Var), B.unum(Off));
@@ -93,8 +96,15 @@ void StubGen::closeChunk() {
   // messages -- paper §2).
   if (ChunkEncode && ChunkOff < ChunkCap)
     stmt(B.exprStmt(B.call("memset",
-                           {chunkAddr(B, ChunkVar, ChunkOff), B.num(0),
+                           {chunkAddr(ChunkVar, ChunkOff), B.num(0),
                             B.unum(ChunkCap - ChunkOff)})));
+  // A decode chunk nothing was read from (skipped framing bytes) keeps
+  // its take but binds no variable, so the stub compiles warning-free.
+  if (!ChunkEncode && !ChunkRead) {
+    auto It = std::find(Cur->begin(), Cur->end(), ChunkDecl);
+    assert(It != Cur->end() && "chunk closed outside its block");
+    *It = B.exprStmt(B.call("flick_buf_take", {bufExpr(), B.unum(ChunkCap)}));
+  }
   ChunkActive = false;
 }
 
@@ -104,11 +114,11 @@ void StubGen::putWire(unsigned Size, CastExpr *WireVal) {
   uint64_t Aligned = alignUpTo(ChunkOff, Align);
   if (Aligned != ChunkOff) // zero alignment gaps for determinism
     stmt(B.exprStmt(B.call("memset",
-                           {chunkAddr(B, ChunkVar, ChunkOff), B.num(0),
+                           {chunkAddr(ChunkVar, ChunkOff), B.num(0),
                             B.unum(Aligned - ChunkOff)})));
   ChunkOff = Aligned;
   stmt(B.exprStmt(B.call(encFnFor(Layout, Size),
-                         {chunkAddr(B, ChunkVar, ChunkOff), WireVal})));
+                         {chunkAddr(ChunkVar, ChunkOff), WireVal})));
   ChunkOff += Size;
 }
 
@@ -117,7 +127,7 @@ CastExpr *StubGen::getWire(unsigned Size) {
   unsigned Align = Layout.kind() == WireKind::Xdr ? 4 : Size;
   ChunkOff = alignUpTo(ChunkOff, Align);
   CastExpr *Load =
-      B.call(decFnFor(Layout, Size), {chunkAddr(B, ChunkVar, ChunkOff)});
+      B.call(decFnFor(Layout, Size), {chunkAddr(ChunkVar, ChunkOff)});
   ChunkOff += Size;
   return Load;
 }
@@ -134,7 +144,7 @@ CastExpr *StubGen::getU64() { return getWire(8); }
 void StubGen::putBytes(const std::string &Bytes) {
   assert(ChunkActive && ChunkEncode && "putBytes outside encode chunk");
   stmt(B.exprStmt(B.call(
-      "memcpy", {chunkAddr(B, ChunkVar, ChunkOff), B.str(Bytes),
+      "memcpy", {chunkAddr(ChunkVar, ChunkOff), B.str(Bytes),
                  B.unum(Bytes.size())})));
   ChunkOff += Bytes.size();
 }
@@ -327,8 +337,10 @@ CastExpr *StubGen::allocExpr(const AllocSemantics &A, CastExpr *Bytes) {
   // option is on; the helper falls back to malloc when no arena is in
   // scope (client side passes a null arena).  Paper §3.1, "Parameter
   // Management".
-  if (options().ScratchAlloc && A.AllowStackAlloc && ServerSide)
+  if (options().ScratchAlloc && A.AllowStackAlloc && ServerSide) {
+    ArenaRead = true;
     return B.call("flick_arena_alloc", {B.id("_ar"), Bytes});
+  }
   return B.call("malloc", {Bytes});
 }
 
@@ -461,14 +473,14 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
     if (isByteElem(Layout, EM)) {
       // Packed byte array (XDR opaque semantics): one memcpy.
       ChunkOff = alignUpTo(ChunkOff, Layout.padUnit());
-      CastExpr *Addr = chunkAddr(B, ChunkVar, ChunkOff);
+      CastExpr *Addr = chunkAddr(ChunkVar, ChunkOff);
       if (Encode) {
         stmt(B.exprStmt(B.call("memcpy", {Addr, Val, B.unum(N)})));
         uint64_t Pad = Layout.padded(N) - N;
         if (Pad)
           stmt(B.exprStmt(B.call(
               "memset",
-              {chunkAddr(B, ChunkVar, ChunkOff + N), B.num(0),
+              {chunkAddr(ChunkVar, ChunkOff + N), B.num(0),
                B.unum(Pad)})));
       } else {
         stmt(B.exprStmt(B.call(
@@ -482,7 +494,7 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
       unsigned S = Layout.atomSize(EM);
       unsigned HostS = S; // hostIdentical implies sizes match
       ChunkOff = alignUpTo(ChunkOff, Layout.atomAlign(EM));
-      CastExpr *Addr = chunkAddr(B, ChunkVar, ChunkOff);
+      CastExpr *Addr = chunkAddr(ChunkVar, ChunkOff);
       if (options().Memcpy && Layout.hostIdentical(EM)) {
         if (Encode)
           stmt(B.exprStmt(
@@ -511,7 +523,7 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
       stmt(B.varDecl(Encode ? B.ptr(B.prim("uint8_t"))
                             : B.constPtr(B.prim("uint8_t")),
                      EP,
-                     B.add(chunkAddr(B, SaveVar, BaseOff),
+                     B.add(chunkAddr(SaveVar, BaseOff),
                            B.mul(B.id(IV), B.unum(Stride)))));
       ChunkVar = EP;
       ChunkOff = 0;
@@ -544,7 +556,7 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
     stmt(B.varDecl(Encode ? B.ptr(B.prim("uint8_t"))
                           : B.constPtr(B.prim("uint8_t")),
                    EP,
-                   B.add(chunkAddr(B, SaveVar, BaseOff),
+                   B.add(chunkAddr(SaveVar, BaseOff),
                          B.mul(B.id(IV), B.unum(Stride)))));
     ChunkVar = EP;
     ChunkOff = 0;
@@ -695,7 +707,7 @@ void StubGen::emitMemberMemcpy(const PresNode *P, CastExpr *Val,
                  ", \"wire/host layout assumption\");"));
   // Structs need their address taken; fixed arrays decay to a pointer.
   CastExpr *Host = isa<PresStruct>(P) ? B.addr(Val) : Val;
-  CastExpr *Wire = chunkAddr(B, ChunkVar, ChunkOff);
+  CastExpr *Wire = chunkAddr(ChunkVar, ChunkOff);
   if (Encode)
     stmt(B.exprStmt(
         B.call("memcpy", {Wire, Host, B.unum(M.MemcpyBytes)})));
@@ -1255,7 +1267,9 @@ void StubGen::callHelper(const PresNode *Pn, CastExpr *Val, bool Encode) {
     unsigned SaveNoEnsure = NoEnsure;
     uint64_t SaveGather = GatherMin;
     const PresNode *SaveRoot = HelperRoot;
+    bool SaveArena = ArenaRead;
     ChunkActive = false;
+    ArenaRead = false;
     ServerSide = false; // shared helpers must not buffer-alias
     NoEnsure = 0;
     GatherMin = 0; // shared helpers serve replies too: never borrow
@@ -1289,6 +1303,11 @@ void StubGen::callHelper(const PresNode *Pn, CastExpr *Val, bool Encode) {
     NoEnsure = SaveNoEnsure;
     GatherMin = SaveGather;
     HelperRoot = SaveRoot;
+    // A helper whose body allocates nothing and calls no decode helper
+    // leaves its arena parameter unnamed (it is unused).
+    if (!Encode && !ArenaRead)
+      Params[1].Name.clear();
+    ArenaRead = SaveArena;
 
     auto *Proto = B.func(B.prim("int"), Name, Params, nullptr);
     placeHelperFunc(Proto, B.block(Body), true, true);
@@ -1313,8 +1332,10 @@ void StubGen::callHelper(const PresNode *Pn, CastExpr *Val, bool Encode) {
     break;
   }
   std::vector<CastExpr *> Args = {bufExpr()};
-  if (!Encode)
+  if (!Encode) {
     Args.push_back(B.id("_ar"));
+    ArenaRead = true;
+  }
   Args.push_back(Arg);
   std::string Rv = freshVar("_hr");
   stmt(B.varDecl(B.prim("int"), Rv, B.call(Name, Args)));

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Channel abstraction beneath the generated stubs (send/recv one
-/// framed message, scatter-gather variants, receive-by-adoption) and the
+/// The Channel abstraction beneath the generated stubs (gather send and
+/// receive-by-adoption of one framed message, with flat wrappers) and the
 /// WireBufPool both sides of every link share.
 ///
 /// The concrete transports moved to `runtime/transport/`:
@@ -38,39 +38,29 @@ struct flick_iov;
 
 namespace flick {
 
+class WireBufPool;
+
 /// Abstract message transport: send one framed message / receive one.
-/// The scatter-gather entry points have distinct names (not overloads) so
-/// a subclass overriding only the flat pair keeps working unchanged: the
-/// base-class defaults bridge to send()/recv(), paying one staging copy,
-/// while transports that can do better override them.
+/// A transport implements one I/O path -- gather send (sendv) and
+/// receive-by-adoption (recvInto) -- and may specialize sendBatch.  The
+/// flat send/recv pair and release are written once here on top of it:
+/// send is a one-segment sendv, recv adopts into a scratch buffer and
+/// copies out, and release hands adopted storage back to the endpoint's
+/// WireBufPool.
 class Channel {
 public:
   virtual ~Channel();
 
-  /// Queues one message.  Returns FLICK_OK or FLICK_ERR_TRANSPORT.
-  virtual int send(const uint8_t *Data, size_t Len) = 0;
-
-  /// Receives one message into \p Out (cleared first).  Returns FLICK_OK
-  /// or FLICK_ERR_TRANSPORT when no message can be produced.
-  virtual int recv(std::vector<uint8_t> &Out) = 0;
-
   /// Queues one message given as \p Count scatter-gather segments, which
-  /// are borrowed only for the duration of the call.  Default: flattens
-  /// the segments into one staging vector and calls send().
-  virtual int sendv(const flick_iov *Segs, size_t Count);
+  /// are borrowed only for the duration of the call.  Returns FLICK_OK or
+  /// FLICK_ERR_TRANSPORT.
+  virtual int sendv(const flick_iov *Segs, size_t Count) = 0;
 
-  /// Receives one message directly into \p Into (reset first).  Default:
-  /// stages through recv() and copies; transports owning their message
-  /// storage can hand the buffer over by move instead.
-  virtual int recvInto(flick_buf *Into);
-
-  /// Hint that \p Buf's contents are dead (the dispatch frame or client
-  /// call that was reading them has finished).  Transports that adopt
-  /// pooled storage into receive buffers (recvInto) reclaim it here, so
-  /// the next sender refills the same hot allocation instead of
-  /// ping-ponging between two; others leave the buffer's storage alone
-  /// for flick_buf's own reuse.  The buffer stays valid either way.
-  virtual void release(flick_buf *Buf);
+  /// Receives one message directly into \p Into (reset first).  In-tree
+  /// transports hand their pooled message storage over whole instead of
+  /// copying.  Returns FLICK_OK or FLICK_ERR_TRANSPORT when no message
+  /// can be produced.
+  virtual int recvInto(flick_buf *Into) = 0;
 
   /// Queues \p NMsgs whole messages in one call, each given as its own
   /// scatter-gather segment list (Segs[i], Counts[i] segments).  Used by
@@ -80,6 +70,21 @@ public:
   /// first failure and returns its status.
   virtual int sendBatch(const flick_iov *const *Segs, const size_t *Counts,
                         size_t NMsgs);
+
+  /// Queues one message of \p Len flat bytes: sendv with one segment.
+  int send(const uint8_t *Data, size_t Len);
+
+  /// Receives one message into \p Out (replaced on success): recvInto a
+  /// scratch buffer, copy the bytes out (one counted copy), release.
+  int recv(std::vector<uint8_t> &Out);
+
+  /// Hint that \p Buf's contents are dead (the dispatch frame or client
+  /// call that was reading them has finished).  An endpoint with a pool
+  /// reclaims the storage recvInto adopted into \p Buf, so the next
+  /// sender refills the same hot allocation instead of ping-ponging
+  /// between two, and leaves \p Buf empty but valid.  Without a pool
+  /// (test doubles) the buffer is left alone for flick_buf's own reuse.
+  void release(flick_buf *Buf);
 
   //===--------------------------------------------------------------------===//
   // Out-of-band request correlation (DESIGN.md §15)
@@ -104,6 +109,7 @@ public:
 protected:
   uint64_t CorrOut = 0; ///< id stamped on the next send
   uint64_t CorrIn = 0;  ///< id carried by the last received message
+  WireBufPool *Pool = nullptr; ///< where release() reclaims storage
 };
 
 /// Fixed-size free list of malloc'd wire-message allocations (DESIGN.md

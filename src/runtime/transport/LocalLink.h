@@ -22,8 +22,8 @@
 #ifndef FLICK_RUNTIME_TRANSPORT_LOCALLINK_H
 #define FLICK_RUNTIME_TRANSPORT_LOCALLINK_H
 
-#include "runtime/Channel.h"
 #include "runtime/NetworkModel.h"
+#include "runtime/transport/Message.h"
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -55,43 +55,23 @@ public:
   size_t pendingToServer() const { return ToB.size(); }
 
 private:
-  class End final : public Channel {
+  class End final : public MsgEndpoint {
   public:
-    End(LocalLink &Link, bool IsClient) : Link(Link), IsClient(IsClient) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    End(LocalLink &Link, bool IsClient)
+        : MsgEndpoint(&Link.Pool), Link(Link), IsClient(IsClient) {}
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
 
   private:
     LocalLink &Link;
     bool IsClient;
   };
 
-  /// One queued message plus its out-of-band trace context: the sender's
-  /// (trace id, span id) ride beside the bytes, never inside them, so
-  /// tracing cannot perturb the wire format.  The wire bytes live in a
-  /// pool-managed malloc allocation so a receiver can adopt it whole
-  /// (recvInto) instead of copying it out.  Corr carries the async
-  /// client's correlation id the same out-of-band way (echoed onto the
-  /// reply by the server end), so correlation unit tests run on this
-  /// deterministic link too.
-  struct Msg {
-    uint8_t *Data = nullptr;
-    size_t Cap = 0;
-    size_t Len = 0;
-    uint64_t TraceId = 0;
-    uint64_t ParentSpan = 0;
-    uint32_t Endpoint = 0;
-    uint64_t Corr = 0;
-  };
-
   void account(size_t Len);
 
   std::deque<Msg> ToA; // server -> client
   std::deque<Msg> ToB; // client -> server
-  WireBufPool Pool;
+  WireBufPool Pool;    // shared by both ends
   NetworkModel Model = NetworkModel::ideal();
   SimClock *Clock = nullptr;
   std::function<bool()> Pump;

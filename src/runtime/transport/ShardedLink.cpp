@@ -9,7 +9,6 @@
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include <chrono>
-#include <thread>
 
 using namespace flick;
 
@@ -112,11 +111,6 @@ ShardedLink::~ShardedLink() {
       std::free(M.Data);
 }
 
-void ShardedLink::setModel(NetworkModel Model) {
-  this->Model = std::move(Model);
-  Modeled = true;
-}
-
 Channel &ShardedLink::connect() {
   std::lock_guard<std::mutex> L(EndsMu);
   size_t Shard =
@@ -148,10 +142,8 @@ void ShardedLink::shutdown() {
   }
   SpaceCv.notify_all();
   std::lock_guard<std::mutex> E(EndsMu);
-  for (auto &C : Conns) {
-    { std::lock_guard<std::mutex> L(C->RMu); }
-    C->RCv.notify_all();
-  }
+  for (auto &C : Conns)
+    C->wake();
 }
 
 size_t ShardedLink::pendingRequests() const {
@@ -163,17 +155,6 @@ size_t ShardedLink::pendingRequests() const {
 
 size_t ShardedLink::shardDepth(size_t I) const {
   return I < NShards ? Rings[I].size() : 0;
-}
-
-void ShardedLink::wireDelay(size_t Len) {
-  if (!Modeled)
-    return;
-  double Us = Model.wireTimeUs(Len);
-  if (flick_metrics_active)
-    flick_metrics_active->wire_time_us += Us;
-  if (flick_trace_active)
-    flick_trace_record_complete(FLICK_SPAN_WIRE, "wire", Us);
-  std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(Us));
 }
 
 bool ShardedLink::anyReady() const {
@@ -206,7 +187,7 @@ void ShardedLink::notifySpace() {
 
 int ShardedLink::pushRequest(Conn *From, Msg M) {
   if (Down.load(std::memory_order_acquire)) {
-    From->Pool.release(M.Data, M.Cap);
+    From->Pool->release(M.Data, M.Cap);
     return FLICK_ERR_TRANSPORT;
   }
   Ring &R = Rings[From->Shard];
@@ -252,7 +233,7 @@ int ShardedLink::pushRequest(Conn *From, Msg M) {
           flick_gauge_shard_sub(From->Shard, 1);
           flick_gauge_sub(&flick_gauges::queue_enqueues, 1);
           L.unlock();
-          From->Pool.release(M.Data, M.Cap);
+          From->Pool->release(M.Data, M.Cap);
           return FLICK_ERR_TRANSPORT;
         }
         if (flick_gauges_on() || M.TraceId)
@@ -329,192 +310,15 @@ int ShardedLink::popRequest(WorkerChan *W, Conn **From, Msg *M) {
 }
 
 //===----------------------------------------------------------------------===//
-// Channel endpoints (identical copy/trace/pool discipline to ThreadedLink)
+// Channel endpoints
 //===----------------------------------------------------------------------===//
 
-ShardedLink::Conn::~Conn() {
-  for (Msg &M : RepQ)
-    std::free(M.Data);
-}
-
-int ShardedLink::Conn::awaitReply(Msg *M) {
-  std::unique_lock<std::mutex> L(RMu);
-  RCv.wait(L, [&] {
-    return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
-  });
-  if (RepQ.empty())
-    return FLICK_ERR_TRANSPORT;
-  *M = RepQ.front();
-  RepQ.pop_front();
-  return FLICK_OK;
-}
-
-int ShardedLink::Conn::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Len);
-  return Link.pushRequest(this, M);
-}
-
 int ShardedLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
   Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Total);
-  return Link.pushRequest(this, M);
-}
-
-int ShardedLink::Conn::recv(std::vector<uint8_t> &Out) {
-  Msg M;
-  if (int Err = awaitReply(&M))
+  if (int Err = pack(Segs, Count, &M))
     return Err;
-  CorrIn = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
-  return FLICK_OK;
-}
-
-int ShardedLink::Conn::recvInto(flick_buf *Into) {
-  Msg M;
-  if (int Err = awaitReply(&M))
-    return Err;
-  CorrIn = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
-  return FLICK_OK;
-}
-
-void ShardedLink::Conn::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
-}
-
-int ShardedLink::WorkerChan::sendReply(Msg M) {
-  Conn *To = CurConn;
-  if (!To) {
-    Pool.release(M.Data, M.Cap);
-    return FLICK_ERR_TRANSPORT;
-  }
   Link.wireDelay(M.Len);
-  {
-    std::lock_guard<std::mutex> L(To->RMu);
-    To->RepQ.push_back(M);
-  }
-  To->RCv.notify_one();
-  return FLICK_OK;
-}
-
-int ShardedLink::WorkerChan::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ShardedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ShardedLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
-  Conn *From = nullptr;
-  Msg M;
-  if (int Err = Link.popRequest(this, &From, &M))
-    return Err;
-  CurConn = From;
-  // Auto-echo: the reply this worker sends next carries the request's
-  // correlation id, so servers stay untouched by pipelining.
-  CorrIn = M.Corr;
-  CorrOut = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
-  return FLICK_OK;
+  return Link.pushRequest(this, M);
 }
 
 int ShardedLink::WorkerChan::recvInto(flick_buf *Into) {
@@ -522,24 +326,7 @@ int ShardedLink::WorkerChan::recvInto(flick_buf *Into) {
   Msg M;
   if (int Err = Link.popRequest(this, &From, &M))
     return Err;
-  CurConn = From;
-  CorrIn = M.Corr;
-  CorrOut = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
+  Cur = From;
+  adopt(M, Into, /*Echo=*/true);
   return FLICK_OK;
-}
-
-void ShardedLink::WorkerChan::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

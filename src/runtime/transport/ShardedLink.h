@@ -29,11 +29,10 @@
 #ifndef FLICK_RUNTIME_TRANSPORT_SHARDEDLINK_H
 #define FLICK_RUNTIME_TRANSPORT_SHARDEDLINK_H
 
-#include "runtime/transport/Transport.h"
+#include "runtime/transport/Message.h"
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -55,7 +54,6 @@ public:
   explicit ShardedLink(size_t ShardCap = 256, size_t Shards = 0);
   ~ShardedLink() override;
 
-  void setModel(NetworkModel Model) override;
   Channel &connect() override;
   Channel &workerEnd() override;
   void shutdown() override;
@@ -66,60 +64,28 @@ public:
   size_t shardDepth(size_t I) const;
 
 private:
-  /// As in ThreadedLink: pooled wire bytes plus out-of-band trace context
-  /// (with the sender's endpoint tag), the enqueue stamp for the flight
-  /// recorder's queue-wait gauge and the dequeue side's QUEUE span, and
-  /// the async client's correlation id (0 for synchronous callers).
-  struct Msg {
-    uint8_t *Data = nullptr;
-    size_t Cap = 0;
-    size_t Len = 0;
-    uint64_t TraceId = 0;
-    uint64_t ParentSpan = 0;
-    uint32_t Endpoint = 0;
-    uint64_t EnqNs = 0;
-    uint64_t Corr = 0;
-  };
-
-  class Conn final : public Channel {
+  class Conn final : public QueueConn {
   public:
-    Conn(ShardedLink &Link, size_t Shard) : Link(Link), Shard(Shard) {}
-    ~Conn() override;
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    Conn(ShardedLink &Link, size_t Shard)
+        : QueueConn(Link.Down), Link(Link), Shard(Shard) {}
     int sendv(const flick_iov *Segs, size_t Count) override;
-    int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
 
   private:
     friend class ShardedLink;
-    int awaitReply(Msg *M);
-
     ShardedLink &Link;
     const size_t Shard; ///< the ring this connection's requests enter
-    std::mutex RMu;
-    std::condition_variable RCv;
-    std::deque<Msg> RepQ;
-    WireBufPool Pool;
   };
 
-  class WorkerChan final : public Channel {
+  class WorkerChan final : public QueueWorker {
   public:
-    WorkerChan(ShardedLink &Link, size_t Shard) : Link(Link), Shard(Shard) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
-    int sendv(const flick_iov *Segs, size_t Count) override;
+    WorkerChan(ShardedLink &Link, size_t Shard)
+        : QueueWorker(Link), Link(Link), Shard(Shard) {}
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
 
   private:
     friend class ShardedLink;
-    int sendReply(Msg M);
-
     ShardedLink &Link;
     const size_t Shard; ///< preferred shard; steals from the rest
-    Conn *CurConn = nullptr;
-    WireBufPool Pool;
   };
 
   /// One bounded MPMC ring: every cell carries a sequence number that
@@ -143,7 +109,6 @@ private:
     size_t size() const;
   };
 
-  void wireDelay(size_t Len);
   int pushRequest(Conn *From, Msg M);
   int popRequest(WorkerChan *W, Conn **From, Msg *M);
   /// Pops from \p Pref first, then the other shards; accounts gauges and
@@ -170,9 +135,6 @@ private:
 
   std::atomic<uint64_t> NextConnShard{0};
   std::atomic<uint64_t> NextWorkerShard{0};
-
-  bool Modeled = false;
-  NetworkModel Model = NetworkModel::ideal();
 
   mutable std::mutex EndsMu;
   std::vector<std::unique_ptr<Conn>> Conns;

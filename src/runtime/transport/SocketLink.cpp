@@ -74,19 +74,13 @@ SocketLink::~SocketLink() {
   // Client fds close in the Conn destructors.
 }
 
-void SocketLink::setModel(NetworkModel Model) {
-  this->Model = std::move(Model);
-  Modeled = true;
-}
-
 Channel &SocketLink::connect() {
   std::lock_guard<std::mutex> L(EndsMu);
   int Fds[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0) {
     flick_metric_add(&flick_metrics::alloc_errors, 1);
     // A dead connection: every operation fails with FLICK_ERR_TRANSPORT.
-    Conns.push_back(
-        std::unique_ptr<Conn>(new Conn(*this, -1, nullptr)));
+    Conns.push_back(std::unique_ptr<Conn>(new Conn(*this, -1)));
     return *Conns.back();
   }
   if (SndBufBytes) {
@@ -105,7 +99,7 @@ Channel &SocketLink::connect() {
   ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, S->Fd, &Ev);
   LiveConns.fetch_add(1, std::memory_order_relaxed);
 
-  Conns.push_back(std::unique_ptr<Conn>(new Conn(*this, Fds[0], S)));
+  Conns.push_back(std::unique_ptr<Conn>(new Conn(*this, Fds[0])));
   return *Conns.back();
 }
 
@@ -162,17 +156,6 @@ void SocketLink::debugCloseClient(Channel &C) {
     }
 }
 
-void SocketLink::wireDelay(size_t Len) {
-  if (!Modeled)
-    return;
-  double Us = Model.wireTimeUs(Len);
-  if (flick_metrics_active)
-    flick_metrics_active->wire_time_us += Us;
-  if (flick_trace_active)
-    flick_trace_record_complete(FLICK_SPAN_WIRE, "wire", Us);
-  std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(Us));
-}
-
 void SocketLink::deregister(SConn *S, bool Error) {
   if (S->Dead.exchange(true, std::memory_order_relaxed))
     return;
@@ -183,15 +166,20 @@ void SocketLink::deregister(SConn *S, bool Error) {
 }
 
 //===----------------------------------------------------------------------===//
-// Client endpoint
+// Frame I/O (both ends)
 //===----------------------------------------------------------------------===//
 
-SocketLink::Conn::~Conn() {
-  if (Fd >= 0)
-    ::close(Fd);
+Msg SocketLink::frameMsg(const FrameHdr &H) {
+  Msg M;
+  M.Len = H.Len;
+  M.TraceId = H.TraceId;
+  M.ParentSpan = H.ParentSpan;
+  M.Endpoint = H.Endpoint;
+  M.Corr = H.Corr;
+  return M;
 }
 
-int SocketLink::Conn::writeIovs(iovec *Io, size_t NIov) {
+int SocketLink::writeIovs(int Fd, iovec *Io, size_t NIov) {
   msghdr MH{};
   MH.msg_iov = Io;
   MH.msg_iovlen = NIov;
@@ -208,14 +196,15 @@ int SocketLink::Conn::writeIovs(iovec *Io, size_t NIov) {
       continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       // Backpressure: the kernel send buffer is this transport's bounded
-      // queue.  Count the event once per send, then poll for space.
+      // queue.  Count the event once per send, then poll for space.  Only
+      // the non-blocking client fds get here.
       if (!MetFull) {
         MetFull = true;
         flick_metric_add(&flick_metrics::queue_full, 1);
         flick_gauge_add(&flick_gauges::queue_full_waits, 1);
       }
       flick_gauge_add(&flick_gauges::sock_eagain, 1);
-      if (Link.Down.load(std::memory_order_relaxed))
+      if (Down.load(std::memory_order_relaxed))
         return FLICK_ERR_TRANSPORT;
       pollfd P = {Fd, POLLOUT, 0};
       ::poll(&P, 1, 10);
@@ -228,18 +217,19 @@ int SocketLink::Conn::writeIovs(iovec *Io, size_t NIov) {
   return FLICK_OK;
 }
 
-int SocketLink::Conn::sendFrame(const flick_iov *Segs, size_t Count,
-                                size_t Total) {
-  if (Fd < 0 || Link.Down.load(std::memory_order_acquire))
-    return FLICK_ERR_TRANSPORT;
-  FrameHdr H = {Total, 0, 0, 0, 0, 0, CorrOut};
+int SocketLink::sendFrame(int Fd, const flick_iov *Segs, size_t Count,
+                          uint64_t Corr, std::mutex *ReplyMu) {
+  size_t Total = 0;
+  for (size_t I = 0; I != Count; ++I)
+    Total += Segs[I].len;
+  FrameHdr H = {Total, 0, 0, 0, 0, 0, Corr};
   if (flick_trace_active)
     flick_trace_stamp(&H.TraceId, &H.ParentSpan, &H.Endpoint);
-  Link.wireDelay(Total);
-  // Stamp after the modeled wire sleep: the receiver's queue-wait
-  // attribution then covers only real kernel-buffer time, never the
-  // already-accounted WIRE span.
-  if (H.TraceId)
+  wireDelay(Total);
+  // A request is stamped after the modeled wire sleep: the worker's
+  // queue-wait attribution then covers only real kernel-buffer time,
+  // never the already-accounted WIRE span.  Nothing reads a reply's.
+  if (H.TraceId && !ReplyMu)
     H.SendNs = flick_gauge_now_ns();
 
   // One gather array: header first, then the caller's segments verbatim.
@@ -257,7 +247,27 @@ int SocketLink::Conn::sendFrame(const flick_iov *Segs, size_t Count,
     Io[I + 1].iov_base = const_cast<uint8_t *>(Segs[I].base);
     Io[I + 1].iov_len = Segs[I].len;
   }
-  return writeIovs(Io, Count + 1);
+  if (!ReplyMu)
+    return writeIovs(Fd, Io, Count + 1);
+  // Two workers can answer back-to-back requests from one connection;
+  // the per-connection write lock keeps reply frames whole.
+  std::lock_guard<std::mutex> L(*ReplyMu);
+  return writeIovs(Fd, Io, Count + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Client endpoint
+//===----------------------------------------------------------------------===//
+
+SocketLink::Conn::~Conn() {
+  if (Fd >= 0)
+    ::close(Fd);
+}
+
+int SocketLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
+  if (Fd < 0 || Link.Down.load(std::memory_order_acquire))
+    return FLICK_ERR_TRANSPORT;
+  return Link.sendFrame(Fd, Segs, Count, CorrOut, nullptr);
 }
 
 int SocketLink::Conn::sendBatch(const flick_iov *const *Segs,
@@ -298,28 +308,13 @@ int SocketLink::Conn::sendBatch(const flick_iov *const *Segs,
   for (size_t I = 0; I != NMsgs; ++I)
     if (Hdrs[I].TraceId)
       Hdrs[I].SendNs = Now;
-  return writeIovs(Io.data(), NIov);
-}
-
-int SocketLink::Conn::send(const uint8_t *Data, size_t Len) {
-  flick_iov V;
-  V.base = Data;
-  V.len = Len;
-  return sendFrame(&V, 1, Len);
-}
-
-int SocketLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t I = 0; I != Count; ++I)
-    Total += Segs[I].len;
-  return sendFrame(Segs, Count, Total);
+  return Link.writeIovs(Fd, Io.data(), NIov);
 }
 
 /// Reads exactly \p N bytes from the non-blocking client fd, polling
 /// through EAGAIN and failing fast on shutdown or EOF.
-static int readFullPolled(SocketLink &Link, std::atomic<bool> &Down, int Fd,
-                          void *Buf, size_t N) {
-  (void)Link;
+static int readFullPolled(const std::atomic<bool> &Down, int Fd, void *Buf,
+                          size_t N) {
   uint8_t *P = static_cast<uint8_t *>(Buf);
   size_t Got = 0;
   while (Got != N) {
@@ -344,65 +339,29 @@ static int readFullPolled(SocketLink &Link, std::atomic<bool> &Down, int Fd,
   return FLICK_OK;
 }
 
-int SocketLink::Conn::recvHdr(FrameHdr *H) {
+int SocketLink::Conn::recvInto(flick_buf *Into) {
   if (Fd < 0)
     return FLICK_ERR_TRANSPORT;
-  if (int Err = readFullPolled(Link, Link.Down, Fd, H, sizeof *H))
+  FrameHdr H;
+  if (int Err = readFullPolled(Link.Down, Fd, &H, sizeof H))
     return Err;
-  if (H->Len > MaxFrameLen)
+  if (H.Len > MaxFrameLen)
     return FLICK_ERR_TRANSPORT;
-  return FLICK_OK;
-}
-
-int SocketLink::Conn::recv(std::vector<uint8_t> &Out) {
-  FrameHdr H;
-  if (int Err = recvHdr(&H))
-    return Err;
-  CorrIn = H.Corr;
-  Out.resize(H.Len);
-  if (H.Len)
-    if (int Err = readFullPolled(Link, Link.Down, Fd, Out.data(), H.Len))
-      return Err;
-  if (flick_trace_active)
-    flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
-  return FLICK_OK;
-}
-
-int SocketLink::Conn::recvInto(flick_buf *Into) {
-  FrameHdr H;
-  if (int Err = recvHdr(&H))
-    return Err;
-  CorrIn = H.Corr;
-  size_t Cap = 0;
-  uint8_t *Data = Pool.acquire(H.Len, &Cap);
-  if (!Data) {
+  Msg M = frameMsg(H);
+  M.Data = Pool->acquire(M.Len, &M.Cap);
+  if (!M.Data) {
     flick_metric_add(&flick_metrics::alloc_errors, 1);
     return FLICK_ERR_TRANSPORT;
   }
-  if (H.Len)
-    if (int Err = readFullPolled(Link, Link.Down, Fd, Data, H.Len)) {
-      Pool.release(Data, Cap);
+  if (M.Len)
+    if (int Err = readFullPolled(Link.Down, Fd, M.Data, M.Len)) {
+      Pool->release(M.Data, M.Cap);
       return Err;
     }
-  if (flick_trace_active)
-    flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
   // Receive by adoption, as everywhere: the pooled buffer the kernel
   // filled becomes the caller's flick_buf storage, no user-space copy.
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = Data;
-  Into->cap = Cap;
-  Into->len = H.Len;
-  Into->pos = 0;
+  adopt(M, Into, /*Echo=*/false);
   return FLICK_OK;
-}
-
-void SocketLink::Conn::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -432,8 +391,8 @@ static int readBlocking(int Fd, void *Buf, size_t N) {
   return 1;
 }
 
-int SocketLink::WorkerChan::recvFrame(FrameHdr *H, uint8_t **Data,
-                                      size_t *Cap) {
+int SocketLink::WorkerChan::recvFrame(Msg *M) {
+  FrameHdr H;
   for (;;) {
     if (Link.Down.load(std::memory_order_acquire) &&
         Link.LiveConns.load(std::memory_order_relaxed) == 0)
@@ -461,7 +420,7 @@ int SocketLink::WorkerChan::recvFrame(FrameHdr *H, uint8_t **Data,
     }
     // EPOLLONESHOT: this worker owns the connection until it re-arms it.
     SConn *S = static_cast<SConn *>(Ev.data.ptr);
-    int R = readBlocking(S->Fd, H, sizeof *H);
+    int R = readBlocking(S->Fd, &H, sizeof H);
     if (R <= 0) {
       // Clean EOF under shutdown is the normal drain end; a truncated
       // header or an EOF without shutdown is a peer fault: count it,
@@ -475,23 +434,24 @@ int SocketLink::WorkerChan::recvFrame(FrameHdr *H, uint8_t **Data,
     // streamed while the sender still blocks inside its SEND span, and
     // clocking that overlap here too would double-count it.
     uint64_t WaitNs = 0;
-    if (H->SendNs) {
+    if (H.SendNs) {
       uint64_t Now = flick_gauge_now_ns();
-      WaitNs = Now > H->SendNs ? Now - H->SendNs : 0;
+      WaitNs = Now > H.SendNs ? Now - H.SendNs : 0;
     }
-    if (H->Len > MaxFrameLen) {
+    if (H.Len > MaxFrameLen) {
       Link.deregister(S, true);
       continue;
     }
-    *Data = Pool.acquire(H->Len, Cap);
-    if (!*Data) {
+    *M = frameMsg(H);
+    M->Data = Pool->acquire(M->Len, &M->Cap);
+    if (!M->Data) {
       flick_metric_add(&flick_metrics::alloc_errors, 1);
       Link.deregister(S, true);
       continue;
     }
-    if (H->Len && readBlocking(S->Fd, *Data, H->Len) <= 0) {
+    if (M->Len && readBlocking(S->Fd, M->Data, M->Len) <= 0) {
       // The fault-containment case: the peer vanished mid-message.
-      Pool.release(*Data, *Cap);
+      Pool->release(M->Data, M->Cap);
       Link.deregister(S, true);
       continue;
     }
@@ -502,7 +462,7 @@ int SocketLink::WorkerChan::recvFrame(FrameHdr *H, uint8_t **Data,
     Re.data.ptr = S;
     ::epoll_ctl(Link.EpollFd, EPOLL_CTL_MOD, S->Fd, &Re);
     countSyscall();
-    if (H->SendNs) {
+    if (H.SendNs) {
       // Kernel-buffer dwell time: this transport's queue wait.
       if (flick_gauges_on())
         flick_gauges_global.queue_wait_ns.fetch_add(
@@ -515,109 +475,17 @@ int SocketLink::WorkerChan::recvFrame(FrameHdr *H, uint8_t **Data,
   }
 }
 
-int SocketLink::WorkerChan::sendReply(const flick_iov *Segs, size_t Count,
-                                      size_t Total) {
+int SocketLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
   SConn *S = Cur;
   if (!S || S->Dead.load(std::memory_order_relaxed))
     return FLICK_ERR_TRANSPORT;
-  FrameHdr H = {Total, 0, 0, 0, 0, 0, CorrOut};
-  if (flick_trace_active)
-    flick_trace_stamp(&H.TraceId, &H.ParentSpan, &H.Endpoint);
-  Link.wireDelay(Total);
-
-  iovec Stack[9];
-  std::vector<iovec> Heap;
-  iovec *Io = Stack;
-  if (Count + 1 > sizeof Stack / sizeof Stack[0]) {
-    Heap.resize(Count + 1);
-    Io = Heap.data();
-  }
-  Io[0].iov_base = &H;
-  Io[0].iov_len = sizeof H;
-  for (size_t I = 0; I != Count; ++I) {
-    Io[I + 1].iov_base = const_cast<uint8_t *>(Segs[I].base);
-    Io[I + 1].iov_len = Segs[I].len;
-  }
-  msghdr MH{};
-  MH.msg_iov = Io;
-  MH.msg_iovlen = Count + 1;
-
-  // Two workers can answer back-to-back requests from one connection;
-  // the per-connection write lock keeps reply frames whole.
-  std::lock_guard<std::mutex> L(S->WrMu);
-  while (MH.msg_iovlen) {
-    ssize_t N = ::sendmsg(S->Fd, &MH, MSG_NOSIGNAL);
-    countSyscall();
-    if (N >= 0) {
-      advanceIov(MH, static_cast<size_t>(N));
-      continue;
-    }
-    if (errno == EINTR)
-      continue;
-    flick_metric_add(&flick_metrics::transport_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  return FLICK_OK;
-}
-
-int SocketLink::WorkerChan::send(const uint8_t *Data, size_t Len) {
-  flick_iov V;
-  V.base = Data;
-  V.len = Len;
-  return sendReply(&V, 1, Len);
-}
-
-int SocketLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t I = 0; I != Count; ++I)
-    Total += Segs[I].len;
-  return sendReply(Segs, Count, Total);
-}
-
-int SocketLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
-  FrameHdr H;
-  uint8_t *Data = nullptr;
-  size_t Cap = 0;
-  if (int Err = recvFrame(&H, &Data, &Cap))
-    return Err;
-  // Auto-echo: the reply this worker sends next carries the request's
-  // correlation id, so servers stay untouched by pipelining.
-  CorrIn = H.Corr;
-  CorrOut = H.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
-  Out.assign(Data, Data + H.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += H.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(Data, Cap);
-  return FLICK_OK;
+  return Link.sendFrame(S->Fd, Segs, Count, CorrOut, &S->WrMu);
 }
 
 int SocketLink::WorkerChan::recvInto(flick_buf *Into) {
-  FrameHdr H;
-  uint8_t *Data = nullptr;
-  size_t Cap = 0;
-  if (int Err = recvFrame(&H, &Data, &Cap))
+  Msg M;
+  if (int Err = recvFrame(&M))
     return Err;
-  CorrIn = H.Corr;
-  CorrOut = H.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = Data;
-  Into->cap = Cap;
-  Into->len = H.Len;
-  Into->pos = 0;
+  adopt(M, Into, /*Echo=*/true);
   return FLICK_OK;
-}
-
-void SocketLink::WorkerChan::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

@@ -18,12 +18,12 @@
 /// request-queue arbitration the other transports do in user space.
 ///
 /// The zero-copy story: sendv lowers straight to sendmsg scatter-gather
-/// (header + caller segments in one iovec array, no staging buffer) and
-/// flat send writes the caller's bytes directly, so the send side adds
-/// zero user-space copies; recvInto reads the payload into a pooled wire
-/// buffer and hands it to the caller by adoption.  Above the gather
-/// threshold a whole RPC's user-space copy bill is the marshal fill
-/// alone (copies_per_rpc ~ 1.0 in fig8's payload-normalized column).
+/// (header + caller segments in one iovec array, no staging buffer), so
+/// the send side adds zero user-space copies; recvInto reads the payload
+/// into a pooled wire buffer and hands it to the caller by adoption.
+/// Above the gather threshold a whole RPC's user-space copy bill is the
+/// marshal fill alone (copies_per_rpc ~ 1.0 in fig8's payload-normalized
+/// column).
 ///
 /// Flight-recorder hooks: sock_syscalls counts sendmsg/read/poll/
 /// epoll_wait issued, sock_eagain counts send-side would-block retries;
@@ -35,7 +35,7 @@
 #ifndef FLICK_RUNTIME_TRANSPORT_SOCKETLINK_H
 #define FLICK_RUNTIME_TRANSPORT_SOCKETLINK_H
 
-#include "runtime/transport/Transport.h"
+#include "runtime/transport/Message.h"
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -71,7 +71,6 @@ public:
   explicit SocketLink(size_t SndBufKiB = 256);
   ~SocketLink() override;
 
-  void setModel(NetworkModel Model) override;
   Channel &connect() override;
   Channel &workerEnd() override;
   void shutdown() override;
@@ -113,16 +112,12 @@ private:
     std::atomic<bool> Dead{false};
   };
 
-  class Conn final : public Channel {
+  class Conn final : public MsgEndpoint {
   public:
-    Conn(SocketLink &Link, int Fd, SConn *Server)
-        : Link(Link), Fd(Fd), Server(Server) {}
+    Conn(SocketLink &Link, int Fd) : MsgEndpoint(&Bufs), Link(Link), Fd(Fd) {}
     ~Conn() override;
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
     /// Corked oneway batch: all frames (header + payload segments each)
     /// leave in ONE sendmsg, so N small requests pay one syscall.  The
     /// receiver parses them sequentially off the stream as usual.
@@ -131,45 +126,39 @@ private:
 
   private:
     friend class SocketLink;
-    /// Writes one frame (header + \p Count gather segments totalling
-    /// \p Total payload bytes) to the non-blocking client fd, polling
-    /// through EAGAIN.
-    int sendFrame(const flick_iov *Segs, size_t Count, size_t Total);
-    /// Writes an arbitrary iovec array (already framed) to the fd,
-    /// polling through EAGAIN; shared by sendFrame and sendBatch.
-    int writeIovs(struct iovec *Iov, size_t NIov);
-    /// Blocks (poll + Down checks) for the next reply frame header.
-    int recvHdr(FrameHdr *H);
-
+    WireBufPool Bufs;
     SocketLink &Link;
     int Fd; ///< client-side fd, O_NONBLOCK
-    SConn *Server;
-    WireBufPool Pool;
   };
 
-  class WorkerChan final : public Channel {
+  class WorkerChan final : public MsgEndpoint {
   public:
-    explicit WorkerChan(SocketLink &Link) : Link(Link) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    explicit WorkerChan(SocketLink &Link) : MsgEndpoint(&Bufs), Link(Link) {}
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
 
   private:
-    friend class SocketLink;
     /// Claims the next readable connection from the epoll loop and reads
-    /// one whole frame; on success Cur points at the request's
-    /// connection.  The payload lands in a pool buffer (*Data/*Cap).
-    int recvFrame(FrameHdr *H, uint8_t **Data, size_t *Cap);
-    int sendReply(const flick_iov *Segs, size_t Count, size_t Total);
+    /// one whole frame, its payload into a pool buffer; on success Cur
+    /// points at the request's connection.
+    int recvFrame(Msg *M);
 
+    WireBufPool Bufs;
     SocketLink &Link;
     SConn *Cur = nullptr;
-    WireBufPool Pool;
   };
 
-  void wireDelay(size_t Len);
+  /// The message a frame header announces, without its payload buffer.
+  static Msg frameMsg(const FrameHdr &H);
+  /// Writes one frame -- header plus the \p Count gather segments -- to
+  /// \p Fd with one sendmsg in the common case.  \p ReplyMu is the
+  /// server connection's write lock when the frame is a reply, null when
+  /// it is a request.
+  int sendFrame(int Fd, const flick_iov *Segs, size_t Count, uint64_t Corr,
+                std::mutex *ReplyMu);
+  /// Writes an already framed iovec array to \p Fd, polling through
+  /// EAGAIN; shared by sendFrame and Conn::sendBatch.
+  int writeIovs(int Fd, struct iovec *Iov, size_t NIov);
   /// Removes \p S from the epoll set (idempotent); \p Error charges one
   /// transport_errors metric event for a mid-frame disappearance.
   void deregister(SConn *S, bool Error);
@@ -179,9 +168,6 @@ private:
   std::atomic<bool> Down{false};
   std::atomic<int> LiveConns{0};
   size_t SndBufBytes;
-
-  bool Modeled = false;
-  NetworkModel Model = NetworkModel::ideal();
 
   mutable std::mutex EndsMu;
   std::vector<std::unique_ptr<Conn>> Conns;

@@ -8,8 +8,6 @@
 #include "runtime/transport/ThreadedLink.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
-#include <chrono>
-#include <thread>
 
 using namespace flick;
 
@@ -22,11 +20,6 @@ ThreadedLink::~ThreadedLink() {
   // reply queues are freed by the Conn destructors (owned by Conns below).
   for (Req &R : ReqQ)
     std::free(R.M.Data);
-}
-
-void ThreadedLink::setModel(NetworkModel Model) {
-  this->Model = std::move(Model);
-  Modeled = true;
 }
 
 Channel &ThreadedLink::connect() {
@@ -49,33 +42,15 @@ void ThreadedLink::shutdown() {
   }
   QNotEmpty.notify_all();
   QNotFull.notify_all();
-  // Wake every connection blocked on a reply.  Taking (and dropping) each
-  // RMu before notifying closes the window where a waiter has checked the
-  // predicate but not yet parked: it either sees Down under its lock or is
-  // already waiting when the notify lands.
+  // Wake every connection blocked on a reply.
   std::lock_guard<std::mutex> E(EndsMu);
-  for (auto &C : Conns) {
-    { std::lock_guard<std::mutex> L(C->RMu); }
-    C->RCv.notify_all();
-  }
+  for (auto &C : Conns)
+    C->wake();
 }
 
 size_t ThreadedLink::pendingRequests() const {
   std::lock_guard<std::mutex> L(QMu);
   return ReqQ.size();
-}
-
-void ThreadedLink::wireDelay(size_t Len) {
-  if (!Modeled)
-    return;
-  double Us = Model.wireTimeUs(Len);
-  if (flick_metrics_active)
-    flick_metrics_active->wire_time_us += Us;
-  if (flick_trace_active)
-    flick_trace_record_complete(FLICK_SPAN_WIRE, "wire", Us);
-  // Realized as real blocking time on the sending thread (no lock held),
-  // so worker-pool concurrency genuinely overlaps it -- see Transport.h.
-  std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(Us));
 }
 
 int ThreadedLink::pushRequest(Conn *From, Msg M) {
@@ -97,7 +72,7 @@ int ThreadedLink::pushRequest(Conn *From, Msg M) {
   }
   if (Down.load(std::memory_order_relaxed)) {
     L.unlock();
-    From->Pool.release(M.Data, M.Cap);
+    From->Pool->release(M.Data, M.Cap);
     return FLICK_ERR_TRANSPORT;
   }
   if (flick_gauges_on()) {
@@ -147,191 +122,12 @@ int ThreadedLink::popRequest(Conn **From, Msg *M) {
   return FLICK_OK;
 }
 
-ThreadedLink::Conn::~Conn() {
-  for (Msg &M : RepQ)
-    std::free(M.Data);
-}
-
-int ThreadedLink::Conn::awaitReply(Msg *M) {
-  std::unique_lock<std::mutex> L(RMu);
-  RCv.wait(L, [&] {
-    return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
-  });
-  if (RepQ.empty())
-    return FLICK_ERR_TRANSPORT;
-  *M = RepQ.front();
-  RepQ.pop_front();
-  return FLICK_OK;
-}
-
-int ThreadedLink::Conn::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Len);
-  return Link.pushRequest(this, M);
-}
-
 int ThreadedLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
   Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Total);
-  return Link.pushRequest(this, M);
-}
-
-int ThreadedLink::Conn::recv(std::vector<uint8_t> &Out) {
-  Msg M;
-  if (int Err = awaitReply(&M))
+  if (int Err = pack(Segs, Count, &M))
     return Err;
-  CorrIn = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
-  return FLICK_OK;
-}
-
-int ThreadedLink::Conn::recvInto(flick_buf *Into) {
-  Msg M;
-  if (int Err = awaitReply(&M))
-    return Err;
-  CorrIn = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  // Adopt the wire allocation whole, as in LocalLink; the buffer migrates
-  // from the worker's pool to this connection's (both plain malloc).
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
-  return FLICK_OK;
-}
-
-void ThreadedLink::Conn::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
-}
-
-int ThreadedLink::WorkerChan::sendReply(Msg M) {
-  Conn *To = CurConn;
-  if (!To) {
-    Pool.release(M.Data, M.Cap);
-    return FLICK_ERR_TRANSPORT;
-  }
   Link.wireDelay(M.Len);
-  {
-    std::lock_guard<std::mutex> L(To->RMu);
-    To->RepQ.push_back(M);
-  }
-  To->RCv.notify_one();
-  return FLICK_OK;
-}
-
-int ThreadedLink::WorkerChan::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ThreadedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ThreadedLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
-  Conn *From = nullptr;
-  Msg M;
-  if (int Err = Link.popRequest(&From, &M))
-    return Err;
-  CurConn = From;
-  // Auto-echo: the reply this worker sends next carries the request's
-  // correlation id, so servers stay untouched by pipelining.
-  CorrIn = M.Corr;
-  CorrOut = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
-  return FLICK_OK;
+  return Link.pushRequest(this, M);
 }
 
 int ThreadedLink::WorkerChan::recvInto(flick_buf *Into) {
@@ -339,24 +135,7 @@ int ThreadedLink::WorkerChan::recvInto(flick_buf *Into) {
   Msg M;
   if (int Err = Link.popRequest(&From, &M))
     return Err;
-  CurConn = From;
-  CorrIn = M.Corr;
-  CorrOut = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
+  Cur = From;
+  adopt(M, Into, /*Echo=*/true);
   return FLICK_OK;
-}
-
-void ThreadedLink::WorkerChan::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

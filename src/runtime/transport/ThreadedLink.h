@@ -19,7 +19,7 @@
 #ifndef FLICK_RUNTIME_TRANSPORT_THREADEDLINK_H
 #define FLICK_RUNTIME_TRANSPORT_THREADEDLINK_H
 
-#include "runtime/transport/Transport.h"
+#include "runtime/transport/Message.h"
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -59,9 +59,6 @@ public:
   explicit ThreadedLink(size_t QueueCap = 256);
   ~ThreadedLink() override;
 
-  /// Attaches a wire-time model; every send sleeps the modeled transit.
-  void setModel(NetworkModel Model) override;
-
   /// Creates a new client connection.  The returned channel (and the
   /// flick_client on top of it) must be used by one thread at a time.
   Channel &connect() override;
@@ -80,69 +77,25 @@ public:
   size_t pendingRequests() const override;
 
 private:
-  /// One queued message; bytes live in a pool-managed malloc allocation
-  /// and the sender's trace context (including its endpoint tag) rides out
-  /// of band, as in LocalLink.  EnqNs stamps when the request entered the
-  /// MPSC queue (gauge clock, 0 when neither the flight recorder nor the
-  /// sender's tracer is on) so the dequeue side can account the
-  /// enqueue-to-dequeue wait.  Corr is the async client's request
-  /// correlation id (0 for synchronous callers), riding out of band next
-  /// to the trace context so payload bytes never change.
-  struct Msg {
-    uint8_t *Data = nullptr;
-    size_t Cap = 0;
-    size_t Len = 0;
-    uint64_t TraceId = 0;
-    uint64_t ParentSpan = 0;
-    uint32_t Endpoint = 0;
-    uint64_t EnqNs = 0;
-    uint64_t Corr = 0;
-  };
-
-  class Conn final : public Channel {
+  class Conn final : public QueueConn {
   public:
-    explicit Conn(ThreadedLink &Link) : Link(Link) {}
-    ~Conn() override;
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    explicit Conn(ThreadedLink &Link) : QueueConn(Link.Down), Link(Link) {}
     int sendv(const flick_iov *Segs, size_t Count) override;
-    int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
 
   private:
     friend class ThreadedLink;
-    /// Blocks for the next reply (or shutdown).
-    int awaitReply(Msg *M);
-
     ThreadedLink &Link;
-    std::mutex RMu;
-    std::condition_variable RCv;
-    std::deque<Msg> RepQ;
-    WireBufPool Pool;
   };
 
-  class WorkerChan final : public Channel {
+  class WorkerChan final : public QueueWorker {
   public:
-    explicit WorkerChan(ThreadedLink &Link) : Link(Link) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
-    int sendv(const flick_iov *Segs, size_t Count) override;
+    explicit WorkerChan(ThreadedLink &Link) : QueueWorker(Link), Link(Link) {}
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
 
   private:
-    friend class ThreadedLink;
-    /// Finishes an outgoing reply: stamp, sleep, route to CurConn.
-    int sendReply(Msg M);
-
     ThreadedLink &Link;
-    Conn *CurConn = nullptr; ///< connection of the last received request
-    WireBufPool Pool;
   };
 
-  /// Sleeps the modeled transit time for a \p Len-byte message and
-  /// accounts it to the calling thread's telemetry.
-  void wireDelay(size_t Len);
   /// Blocking bounded push of a request; FLICK_ERR_TRANSPORT after
   /// shutdown (ownership of M.Data returns to \p From's pool).
   int pushRequest(Conn *From, Msg M);
@@ -160,9 +113,6 @@ private:
   std::deque<Req> ReqQ;
   const size_t QueueCap;
   std::atomic<bool> Down{false};
-
-  bool Modeled = false;
-  NetworkModel Model = NetworkModel::ideal();
 
   /// Endpoint storage; guarded by EndsMu during creation only (channels
   /// themselves are owned by their threads afterwards).

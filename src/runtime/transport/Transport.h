@@ -78,7 +78,16 @@ public:
   virtual size_t pendingRequests() const = 0;
 
   /// Attaches a wire-time model; senders sleep the modeled transit.
-  virtual void setModel(NetworkModel Model) = 0;
+  void setModel(NetworkModel Model);
+
+  /// Sleeps the modeled transit time of a \p Len-byte message on the
+  /// calling (sending) thread, outside any lock, and accounts it to that
+  /// thread's wire_time_us and trace ring.  A no-op without a model.
+  void wireDelay(size_t Len) const;
+
+private:
+  bool Modeled = false;
+  NetworkModel Model = NetworkModel::ideal();
 };
 
 /// Creates a transport by name: "threaded" (mutex MPSC queue), "sharded"

@@ -65,17 +65,24 @@ public:
   std::deque<Frame> Sent;
   std::deque<Frame> Replies;
 
-  int send(const uint8_t *Data, size_t Len) override {
-    Sent.push_back({{Data, Data + Len}, CorrOut});
+  int sendv(const flick_iov *Segs, size_t Count) override {
+    Frame F{{}, CorrOut};
+    for (size_t I = 0; I != Count; ++I)
+      F.Bytes.insert(F.Bytes.end(), Segs[I].base, Segs[I].base + Segs[I].len);
+    Sent.push_back(std::move(F));
     return FLICK_OK;
   }
-  int recv(std::vector<uint8_t> &Out) override {
+  int recvInto(flick_buf *Into) override {
     if (Replies.empty())
       return FLICK_ERR_TRANSPORT;
     Frame F = Replies.front();
     Replies.pop_front();
     CorrIn = F.Corr;
-    Out = std::move(F.Bytes);
+    flick_buf_reset(Into);
+    if (int Err = flick_buf_ensure(Into, F.Bytes.size()))
+      return Err;
+    std::memcpy(flick_buf_grab(Into, F.Bytes.size()), F.Bytes.data(),
+                F.Bytes.size());
     return FLICK_OK;
   }
 };

@@ -9,8 +9,7 @@
 /// Tests for the zero-copy message-path plumbing: flick_buf borrowed
 /// segments (flick_buf_ref / flick_buf_iovec), the LocalLink wire-buffer
 /// free list (reuse, growth under outstanding messages, exhaustion
-/// fallback, alignment of adopted buffers), and the base-Channel staging
-/// defaults that keep flat-only transports working.
+/// fallback, alignment of adopted buffers).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -228,47 +227,6 @@ TEST(BufferPool, GatheredSendLandsInOnePooledBuffer) {
   EXPECT_EQ(std::memcmp(Out.data(), Head, sizeof(Head)), 0);
   EXPECT_EQ(std::memcmp(Out.data() + sizeof(Head), Body.data(), Body.size()),
             0);
-}
-
-//===----------------------------------------------------------------------===//
-// Base-Channel staging defaults (flat-only transports keep working)
-//===----------------------------------------------------------------------===//
-
-/// A transport that implements only the flat pair, like any pre-gather
-/// Channel subclass would.
-class FlatOnlyChan : public Channel {
-public:
-  int send(const uint8_t *Data, size_t Len) override {
-    Q.emplace_back(Data, Data + Len);
-    return FLICK_OK;
-  }
-  int recv(std::vector<uint8_t> &Out) override {
-    if (Q.empty())
-      return FLICK_ERR_TRANSPORT;
-    Out = std::move(Q.front());
-    Q.pop_front();
-    return FLICK_OK;
-  }
-
-private:
-  std::deque<std::vector<uint8_t>> Q;
-};
-
-TEST(BufferPool, DefaultSendvFlattensForFlatOnlyTransports) {
-  ScopedMetrics S;
-  FlatOnlyChan Ch;
-  uint8_t A[4] = {'a', 'b', 'c', 'd'};
-  uint8_t B[3] = {'e', 'f', 'g'};
-  flick_iov Iov[2] = {{A, sizeof(A)}, {B, sizeof(B)}};
-  ASSERT_EQ(flick_channel_sendv(&Ch, Iov, 2), FLICK_OK);
-  EXPECT_GE(S.M.bytes_copied, 7u); // the staging copy is accounted
-
-  flick_buf Into;
-  flick_buf_init(&Into);
-  ASSERT_EQ(flick_channel_recv(&Ch, &Into), FLICK_OK);
-  ASSERT_EQ(Into.len, 7u);
-  EXPECT_EQ(std::memcmp(Into.data, "abcdefg", 7), 0);
-  flick_buf_destroy(&Into);
 }
 
 } // namespace

@@ -162,6 +162,58 @@ TEST_P(TransportConformance, SendvRecvIntoReleaseRoundTrip) {
   T->shutdown();
 }
 
+TEST_P(TransportConformance, FlatWrappersMatchGatherPathAndCopyOnce) {
+  ScopedMetrics Scope;
+  flick_metrics &M = Scope.M;
+  auto T = make();
+  std::vector<uint8_t> Req = pattern(4, 0, 700), Rep = pattern(5, 0, 300);
+
+  // Flat send + flat recv, then the same bytes as two gather segments +
+  // recvInto; returns what the flat recv delivered.  Each flat recv is
+  // exactly one counted copy of the message.
+  auto Flat = [&](Channel &From, Channel &To, const std::vector<uint8_t> &P) {
+    std::vector<uint8_t> Out;
+    EXPECT_EQ(From.send(P.data(), P.size()), FLICK_OK);
+    uint64_t Copied = M.bytes_copied, Ops = M.copy_ops;
+    EXPECT_EQ(To.recv(Out), FLICK_OK);
+    EXPECT_EQ(M.copy_ops - Ops, 1u);
+    EXPECT_EQ(M.bytes_copied - Copied, P.size());
+    return Out;
+  };
+  auto Gather = [&](Channel &From, Channel &To, const std::vector<uint8_t> &P) {
+    flick_iov Segs[2] = {{P.data(), 100}, {P.data() + 100, P.size() - 100}};
+    EXPECT_EQ(From.sendv(Segs, 2), FLICK_OK);
+    flick_buf Got;
+    flick_buf_init(&Got);
+    EXPECT_EQ(To.recvInto(&Got), FLICK_OK);
+    std::vector<uint8_t> Out(Got.data, Got.data + Got.len);
+    To.release(&Got);
+    flick_buf_destroy(&Got);
+    return Out;
+  };
+  Channel &C = T->connect();
+  Channel &W = T->workerEnd();
+  EXPECT_EQ(Flat(C, W, Req), Req);
+  EXPECT_EQ(Gather(C, W, Req), Req);
+  EXPECT_EQ(Flat(W, C, Rep), Rep);
+  EXPECT_EQ(Gather(W, C, Rep), Rep);
+
+  // On fresh endpoints (empty pools), a first flat round trip fills the
+  // pools.  Every flat recv hands its buffer back to its endpoint's pool,
+  // so in the second one each pooled buffer a send (queue transports) or
+  // a receive (SocketLink) needs is a hit.
+  Channel &C2 = T->connect();
+  Channel &W2 = T->workerEnd();
+  EXPECT_EQ(Flat(C2, W2, Req), Req);
+  EXPECT_EQ(Flat(W2, C2, Rep), Rep);
+  uint64_t Hits = M.pool_hits, Misses = M.pool_misses;
+  EXPECT_EQ(Flat(C2, W2, Req), Req);
+  EXPECT_EQ(Flat(W2, C2, Rep), Rep);
+  EXPECT_EQ(M.pool_misses, Misses);
+  EXPECT_GT(M.pool_hits, Hits);
+  T->shutdown();
+}
+
 TEST_P(TransportConformance, BackpressureCountsQueueFullOncePerSend) {
   ScopedGauges Gauges;
   // Capacity 1: a couple of queued messages for the queue transports
