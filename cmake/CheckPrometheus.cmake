@@ -44,6 +44,8 @@ execute_process(
           --require flick_rpc_latency_seconds
           --require flick_slo_met_total
           --require flick_slo_violated_total
+          --require flick_demux_errors_total
+          --require flick_server_request_bytes_total
           --require-exemplar flick_rpc_latency_seconds
   RESULT_VARIABLE RC
   OUTPUT_VARIABLE STDOUT

@@ -296,6 +296,8 @@ private:
   CastFile HeaderFile, ClientFile, ServerFile, CommonFile;
   std::vector<CastStmt *> *Cur = nullptr;
   bool ServerSide = false;
+  /// Inside an out-of-line marshal helper, which both sides share.
+  bool InHelper = false;
   bool UseEnv = false;
 
   // Chunk state.

@@ -112,6 +112,20 @@ StubGen::genDispatchCase(const PresCInterface &If,
     stmt(B.ifStmt(B.id(Ev), B.ret(B.id(Ev))));
   }
 
+  // CORBA C mapping: the servant may replace an inout string.  The decoded
+  // value lives in scratch storage, so only a replacement is the server's
+  // to free after the reply; remember the decoded pointer to tell them
+  // apart.  (Without the arena the in-parameter frees below cover it.)
+  std::vector<std::string> InoutStrs;
+  if (Corba && options().ScratchAlloc)
+    for (const PresCParam &Pp : Op.Params)
+      if (Pp.Dir == AoiParamDir::InOut &&
+          classifyPres(Pp.Pres) == PKind::Str) {
+        InoutStrs.push_back(Pp.Name);
+        stmt(B.varDecl(B.ptr(B.prim("char")), "_in_" + Pp.Name,
+                       B.id(Pp.Name)));
+      }
+
   if (Corba) {
     stmt(B.rawStmt("CORBA_Environment _ev;"));
     stmt(B.rawStmt("_ev._major = CORBA_NO_EXCEPTION;"));
@@ -254,6 +268,14 @@ StubGen::genDispatchCase(const PresCInterface &If,
   stmt(B.ifStmt(B.id(Re), B.ret(B.id(Re))));
 
   // Free heap storage produced by the work function.
+  if (!Corba && (RetK == PKind::Str || RetK == PKind::Opt ||
+                 RetK == PKind::Agg)) {
+    // rpcgen: the server frees the result once it is sent (xdr_free).
+    emitFree(Op.Return.Pres, B.id("_retval"));
+  }
+  for (const std::string &Name : InoutStrs)
+    stmt(B.ifStmt(B.ne(B.id(Name), B.id("_in_" + Name)),
+                  B.exprStmt(B.call("free", {B.id(Name)}))));
   if (Corba) {
     switch (RetK) {
     case PKind::Str:

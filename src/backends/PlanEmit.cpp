@@ -335,9 +335,12 @@ void StubGen::emitNaiveAtomic(const PresNode *P, CastExpr *Val,
 CastExpr *StubGen::allocExpr(const AllocSemantics &A, CastExpr *Bytes) {
   // Scratch storage is the default when the presentation allows it and the
   // option is on; the helper falls back to malloc when no arena is in
-  // scope (client side passes a null arena).  Paper §3.1, "Parameter
-  // Management".
-  if (options().ScratchAlloc && A.AllowStackAlloc && ServerSide) {
+  // scope (client side passes a null arena).  Out-of-line decode helpers
+  // serve both sides, so they always go through the arena helper: server
+  // in-parameters then die with the request instead of leaking.  Paper
+  // §3.1, "Parameter Management".
+  if (options().ScratchAlloc && A.AllowStackAlloc &&
+      (ServerSide || InHelper)) {
     ArenaRead = true;
     return B.call("flick_arena_alloc", {B.id("_ar"), Bytes});
   }
@@ -729,7 +732,8 @@ void StubGen::emitStruct(const PresStruct *P, CastExpr *Val, bool Encode) {
 //===----------------------------------------------------------------------===//
 
 /// The encode-side bulk copy of NB bytes from BaseE.  Outside a GatherRef
-/// step this is exactly the historical ensure+grab+memcpy.  Inside one,
+/// step this is ensure+grab+flick_memcpy (BaseE may be null when NB is 0,
+/// which plain memcpy does not allow).  Inside one,
 /// the copy becomes the else-branch of a runtime size test: at or above
 /// the gather threshold the bytes are *borrowed* via flick_buf_ref and the
 /// transport gathers them at send time, so the payload is never copied
@@ -740,7 +744,7 @@ void StubGen::emitBulkEncode(const std::string &NB, CastExpr *BaseE) {
       checkCall(B.call("flick_buf_ensure", {bufExpr(), B.id(NB)}),
                 "FLICK_ERR_ALLOC");
     stmt(B.exprStmt(B.call(
-        "memcpy",
+        "flick_memcpy",
         {B.call("flick_buf_grab", {bufExpr(), B.id(NB)}), BaseE, B.id(NB)})));
   };
   if (GatherMin == 0) {
@@ -1264,6 +1268,7 @@ void StubGen::callHelper(const PresNode *Pn, CastExpr *Val, bool Encode) {
     auto *SaveCur = Cur;
     bool SaveActive = ChunkActive;
     bool SaveServer = ServerSide;
+    bool SaveInHelper = InHelper;
     unsigned SaveNoEnsure = NoEnsure;
     uint64_t SaveGather = GatherMin;
     const PresNode *SaveRoot = HelperRoot;
@@ -1271,6 +1276,7 @@ void StubGen::callHelper(const PresNode *Pn, CastExpr *Val, bool Encode) {
     ChunkActive = false;
     ArenaRead = false;
     ServerSide = false; // shared helpers must not buffer-alias
+    InHelper = true;
     NoEnsure = 0;
     GatherMin = 0; // shared helpers serve replies too: never borrow
     HelperRoot = Pn;
@@ -1300,6 +1306,7 @@ void StubGen::callHelper(const PresNode *Pn, CastExpr *Val, bool Encode) {
     Cur = SaveCur;
     ChunkActive = SaveActive;
     ServerSide = SaveServer;
+    InHelper = SaveInHelper;
     NoEnsure = SaveNoEnsure;
     GatherMin = SaveGather;
     HelperRoot = SaveRoot;

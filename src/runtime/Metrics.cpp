@@ -1,10 +1,11 @@
-//===- runtime/Metrics.cpp - Runtime metrics block ------------------------===//
+//===- runtime/Metrics.cpp - Runtime metrics block and its exports --------===//
 //
 // Part of the Flick reproduction project.
 // SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "support/BuildInfo.h"
 #include <cstdio>
@@ -18,42 +19,22 @@ void flick_metrics_enable(flick_metrics *m) {
 
 void flick_metrics_disable() { flick_metrics_active = nullptr; }
 
+namespace {
+
+template <class T> void mergeField(flick_metric_kind Kind, T &Dst, T Src) {
+  if (Kind == FLICK_KIND_SUM)
+    Dst += Src;
+  else if (Src > Dst)
+    Dst = Src;
+}
+
+} // namespace
+
 void flick_metrics_merge(flick_metrics *dst, const flick_metrics *src) {
-  dst->rpcs_sent += src->rpcs_sent;
-  dst->oneways_sent += src->oneways_sent;
-  dst->replies_received += src->replies_received;
-  dst->request_bytes += src->request_bytes;
-  dst->reply_bytes += src->reply_bytes;
-  dst->rpcs_handled += src->rpcs_handled;
-  dst->replies_sent += src->replies_sent;
-  dst->server_request_bytes += src->server_request_bytes;
-  dst->server_reply_bytes += src->server_reply_bytes;
-  dst->buf_grows += src->buf_grows;
-  dst->buf_reuses += src->buf_reuses;
-  dst->arena_grows += src->arena_grows;
-  if (src->arena_high_water > dst->arena_high_water)
-    dst->arena_high_water = src->arena_high_water;
-  dst->decode_errors += src->decode_errors;
-  dst->transport_errors += src->transport_errors;
-  dst->demux_errors += src->demux_errors;
-  dst->alloc_errors += src->alloc_errors;
-  dst->interp_encodes += src->interp_encodes;
-  dst->interp_decodes += src->interp_decodes;
-  dst->interp_dispatches += src->interp_dispatches;
-  dst->spec_programs += src->spec_programs;
-  dst->spec_compile_ns += src->spec_compile_ns;
-  dst->spec_cache_hits += src->spec_cache_hits;
-  dst->spec_steps_fused += src->spec_steps_fused;
-  dst->spec_dispatches_avoided += src->spec_dispatches_avoided;
-  dst->bytes_copied += src->bytes_copied;
-  dst->copy_ops += src->copy_ops;
-  dst->gather_refs += src->gather_refs;
-  dst->gather_bytes += src->gather_bytes;
-  dst->pool_hits += src->pool_hits;
-  dst->pool_misses += src->pool_misses;
-  dst->queue_full += src->queue_full;
-  dst->corr_drops += src->corr_drops;
-  dst->wire_time_us += src->wire_time_us;
+#define FLICK_MERGE_FIELD(Type, Name, Kind, Unit, Help)                        \
+  mergeField(FLICK_KIND_##Kind, dst->Name, src->Name);
+  FLICK_METRICS_SCHEMA(FLICK_MERGE_FIELD)
+#undef FLICK_MERGE_FIELD
   flick_hist_merge(&dst->rpc_latency, &src->rpc_latency);
   for (int E = 0; E != FLICK_MAX_ENDPOINTS; ++E) {
     const flick_endpoint_stats &S = src->anatomy[E];
@@ -175,70 +156,35 @@ std::string flick_metrics_anatomy_json(const flick_metrics *m,
   return Out + "\n" + Close + "}";
 }
 
+namespace {
+
+void jsonValue(std::string &Out, uint64_t V) { Out += std::to_string(V); }
+
+void jsonValue(std::string &Out, double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.3f", V);
+  Out += Buf;
+}
+
+} // namespace
+
 std::string flick_metrics_to_json(const flick_metrics *m,
                                   const char *indent) {
-  struct Field {
-    const char *Name;
-    uint64_t Value;
-  };
-  const Field Fields[] = {
-      {"rpcs_sent", m->rpcs_sent},
-      {"oneways_sent", m->oneways_sent},
-      {"replies_received", m->replies_received},
-      {"request_bytes", m->request_bytes},
-      {"reply_bytes", m->reply_bytes},
-      {"rpcs_handled", m->rpcs_handled},
-      {"replies_sent", m->replies_sent},
-      {"server_request_bytes", m->server_request_bytes},
-      {"server_reply_bytes", m->server_reply_bytes},
-      {"buf_grows", m->buf_grows},
-      {"buf_reuses", m->buf_reuses},
-      {"arena_grows", m->arena_grows},
-      {"arena_high_water", m->arena_high_water},
-      {"decode_errors", m->decode_errors},
-      {"transport_errors", m->transport_errors},
-      {"demux_errors", m->demux_errors},
-      {"alloc_errors", m->alloc_errors},
-      {"interp_encodes", m->interp_encodes},
-      {"interp_decodes", m->interp_decodes},
-      {"interp_dispatches", m->interp_dispatches},
-      {"spec_programs", m->spec_programs},
-      {"spec_compile_ns", m->spec_compile_ns},
-      {"spec_cache_hits", m->spec_cache_hits},
-      {"spec_steps_fused", m->spec_steps_fused},
-      {"spec_dispatches_avoided", m->spec_dispatches_avoided},
-      {"bytes_copied", m->bytes_copied},
-      {"copy_ops", m->copy_ops},
-      {"gather_refs", m->gather_refs},
-      {"gather_bytes", m->gather_bytes},
-      {"pool_hits", m->pool_hits},
-      {"pool_misses", m->pool_misses},
-      {"queue_full", m->queue_full},
-      {"corr_drops", m->corr_drops},
-  };
   std::string Out = "{\n";
   Out += indent;
   Out += "\"build\": " + flick_build_info_json() + ",\n";
-  for (const Field &F : Fields) {
-    Out += indent;
-    Out += "\"";
-    Out += F.Name;
-    Out += "\": " + std::to_string(F.Value) + ",\n";
-  }
-  char Buf[64];
+#define FLICK_JSON_FIELD(Type, Name, Kind, Unit, Help)                         \
+  Out += std::string(indent) + "\"" #Name "\": ";                              \
+  jsonValue(Out, m->Name);                                                     \
+  Out += ",\n";
+  FLICK_METRICS_SCHEMA(FLICK_JSON_FIELD)
+#undef FLICK_JSON_FIELD
   // Derived: bulk copies per issued RPC, the headline zero-copy number.
   uint64_t Calls = m->rpcs_sent + m->oneways_sent;
-  std::snprintf(Buf, sizeof(Buf), "%.3f",
-                static_cast<double>(m->copy_ops) /
-                    static_cast<double>(Calls ? Calls : 1));
   Out += indent;
   Out += "\"copies_per_rpc\": ";
-  Out += Buf;
-  Out += ",\n";
-  std::snprintf(Buf, sizeof(Buf), "%.3f", m->wire_time_us);
-  Out += indent;
-  Out += "\"wire_time_us\": ";
-  Out += Buf;
+  jsonValue(Out, static_cast<double>(m->copy_ops) /
+                     static_cast<double>(Calls ? Calls : 1));
   Out += ",\n";
   Out += indent;
   Out += "\"rpc_latency\": ";
@@ -250,5 +196,205 @@ std::string flick_metrics_to_json(const flick_metrics *m,
   Out += flick_metrics_anatomy_json(m,
                                     (std::string(indent) + "  ").c_str());
   Out += "\n}";
+  return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Prometheus text exposition
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Escapes a Prometheus label value (backslash, double quote, newline).
+std::string promEscape(const char *S) {
+  std::string Out;
+  for (; *S; ++S) {
+    if (*S == '\\' || *S == '"')
+      Out += '\\';
+    if (*S == '\n') {
+      Out += "\\n";
+      continue;
+    }
+    Out += *S;
+  }
+  return Out;
+}
+
+/// Writes the HELP/TYPE pair of the family a schema entry exports as, and
+/// returns its name: `flick_<name>`, with a `_ns`/`_us` suffix replaced by
+/// `_seconds`, plus `_total` for a SUM (counter) entry.
+std::string promFamily(std::string &Out, const char *Name,
+                       flick_metric_kind Kind, flick_metric_unit Unit,
+                       const char *Help) {
+  std::string Family = std::string("flick_") + Name;
+  if (Unit == FLICK_UNIT_NS || Unit == FLICK_UNIT_US)
+    Family.replace(Family.size() - 3, 3, "_seconds");
+  if (Kind == FLICK_KIND_SUM)
+    Family += "_total";
+  Out += "# HELP " + Family + " " + Help + "\n# TYPE " + Family +
+         (Kind == FLICK_KIND_SUM ? " counter\n" : " gauge\n");
+  return Family;
+}
+
+/// A sample value in the family's base unit: times scale to seconds,
+/// counts and bytes print exactly.
+std::string promValue(flick_metric_unit Unit, double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.9g",
+                Unit == FLICK_UNIT_NS   ? V / 1e9
+                : Unit == FLICK_UNIT_US ? V / 1e6
+                                        : V);
+  return Buf;
+}
+
+std::string promValue(flick_metric_unit Unit, uint64_t V) {
+  if (Unit == FLICK_UNIT_NS || Unit == FLICK_UNIT_US)
+    return promValue(Unit, static_cast<double>(V));
+  return std::to_string(V);
+}
+
+template <class T>
+void promScalar(std::string &Out, const char *Name, flick_metric_kind Kind,
+                flick_metric_unit Unit, const char *Help, T V) {
+  std::string Family = promFamily(Out, Name, Kind, Unit, Help);
+  Out += Family + " " + promValue(Unit, V) + "\n";
+}
+
+/// A per-shard slot array: one series per slot, labeled `shard`.
+template <size_t N>
+void promSlots(std::string &Out, const char *Name, flick_metric_kind Kind,
+               flick_metric_unit Unit, const char *Help,
+               const std::atomic<uint64_t> (&Slots)[N]) {
+  std::string Family = promFamily(Out, Name, Kind, Unit, Help);
+  for (size_t I = 0; I != N; ++I)
+    Out += Family + "{shard=\"" + std::to_string(I) + "\"} " +
+           promValue(Unit, Slots[I].load(std::memory_order_relaxed)) + "\n";
+}
+
+} // namespace
+
+std::string flick_metrics_to_prometheus(const flick_metrics *m,
+                                        const flick_tracer *exemplars) {
+  std::string Out;
+  Out += "# HELP flick_build_info Build attribution; value is always 1.\n";
+  Out += "# TYPE flick_build_info gauge\n";
+  Out += "flick_build_info{git=\"" + promEscape(flick_build_git_hash()) +
+         "\",compiler=\"" + promEscape(flick_build_compiler()) +
+         "\",build_type=\"" + promEscape(flick_build_type()) + "\"} 1\n";
+
+  if (m) {
+#define FLICK_PROM_METRIC(Type, Name, Kind, Unit, Help)                        \
+  promScalar(Out, #Name, FLICK_KIND_##Kind, FLICK_UNIT_##Unit, Help, m->Name);
+    FLICK_METRICS_SCHEMA(FLICK_PROM_METRIC)
+#undef FLICK_PROM_METRIC
+
+    // The RPC latency histogram, in base-unit seconds with cumulative
+    // buckets as the exposition format requires.  When a tracer with a
+    // tail-exemplar reservoir is supplied, each bucket line gets at most
+    // one OpenMetrics exemplar annotation: the slowest retained RPC whose
+    // duration falls in that bucket, so the post-mortem trace for a tail
+    // latency is one trace_id lookup away from the histogram.
+    const flick_exemplar *BucketEx[FLICK_HIST_BUCKETS] = {};
+    if (exemplars) {
+      for (int E = 0; E != FLICK_MAX_ENDPOINTS; ++E)
+        for (int S = 0; S != FLICK_EXEMPLAR_SLOTS; ++S) {
+          const flick_exemplar &X = exemplars->exemplars.slots[E][S];
+          if (!X.n_spans)
+            continue;
+          // Same bucket rule as flick_hist_record: smallest I with
+          // dur < 2^I us.
+          int I = 0;
+          while (I < FLICK_HIST_BUCKETS - 1 &&
+                 X.dur_us >= static_cast<double>(uint64_t(1) << I))
+            ++I;
+          if (!BucketEx[I] || X.dur_us > BucketEx[I]->dur_us)
+            BucketEx[I] = &X;
+        }
+    }
+    const flick_latency_hist &H = m->rpc_latency;
+    Out += "# HELP flick_rpc_latency_seconds Client round-trip latency.\n";
+    Out += "# TYPE flick_rpc_latency_seconds histogram\n";
+    char Buf[256];
+    uint64_t Cum = 0;
+    for (int I = 0; I != FLICK_HIST_BUCKETS; ++I) {
+      if (!H.buckets[I])
+        continue;
+      Cum += H.buckets[I];
+      std::snprintf(Buf, sizeof(Buf),
+                    "flick_rpc_latency_seconds_bucket{le=\"%.9g\"} %llu",
+                    static_cast<double>(uint64_t(1) << I) / 1e6,
+                    static_cast<unsigned long long>(Cum));
+      Out += Buf;
+      if (const flick_exemplar *X = BucketEx[I]) {
+        std::snprintf(Buf, sizeof(Buf),
+                      " # {trace_id=\"0x%llx\",endpoint=\"%s\"} %.9g",
+                      static_cast<unsigned long long>(X->trace_id),
+                      promEscape(flick_endpoint_name(X->endpoint)).c_str(),
+                      X->dur_us / 1e6);
+        Out += Buf;
+      }
+      Out += "\n";
+    }
+    std::snprintf(Buf, sizeof(Buf),
+                  "flick_rpc_latency_seconds_bucket{le=\"+Inf\"} %llu\n"
+                  "flick_rpc_latency_seconds_sum %.9g\n"
+                  "flick_rpc_latency_seconds_count %llu\n",
+                  static_cast<unsigned long long>(H.count), H.sum_us / 1e6,
+                  static_cast<unsigned long long>(H.count));
+    Out += Buf;
+
+    // SLO error-budget counters: one series per endpoint with a
+    // configured objective, labeled with the endpoint name and the
+    // objective's source text.
+    bool AnySlo = false;
+    uint32_t NEndpoints = flick_endpoint_count();
+    if (NEndpoints > FLICK_MAX_ENDPOINTS)
+      NEndpoints = FLICK_MAX_ENDPOINTS;
+    for (uint32_t E = 0; E != NEndpoints; ++E)
+      if (flick_slo_for(E)->set)
+        AnySlo = true;
+    if (AnySlo) {
+      struct SloFamily {
+        const char *Name;
+        const char *Help;
+        uint64_t flick_endpoint_stats::*Field;
+      };
+      const SloFamily Families[] = {
+          {"flick_slo_met_total",
+           "RPCs that completed within their endpoint's latency objective.",
+           &flick_endpoint_stats::slo_met},
+          {"flick_slo_violated_total",
+           "RPCs over their endpoint's latency objective (budget spend).",
+           &flick_endpoint_stats::slo_violated},
+      };
+      for (const SloFamily &F : Families) {
+        Out += std::string("# HELP ") + F.Name + " " + F.Help + "\n";
+        Out += std::string("# TYPE ") + F.Name + " counter\n";
+        for (uint32_t E = 0; E != NEndpoints; ++E) {
+          const flick_slo *Slo = flick_slo_for(E);
+          if (!Slo->set)
+            continue;
+          std::snprintf(Buf, sizeof(Buf),
+                        "%s{endpoint=\"%s\",objective=\"%s\"} %llu\n", F.Name,
+                        promEscape(flick_endpoint_name(E)).c_str(),
+                        promEscape(Slo->objective).c_str(),
+                        static_cast<unsigned long long>(m->anatomy[E].*
+                                                        F.Field));
+          Out += Buf;
+        }
+      }
+    }
+  }
+
+  // The live gauge block.
+  const flick_gauges &G = flick_gauges_global;
+#define FLICK_PROM_GAUGE(Type, Name, Kind, Unit, Help)                         \
+  promScalar(Out, #Name, FLICK_KIND_##Kind, FLICK_UNIT_##Unit, Help,           \
+             G.Name.load(std::memory_order_relaxed));
+#define FLICK_PROM_GAUGE_ARRAY(Type, Name, Extent, Kind, Unit, Help)           \
+  promSlots(Out, #Name, FLICK_KIND_##Kind, FLICK_UNIT_##Unit, Help, G.Name);
+  FLICK_GAUGES_SCHEMA(FLICK_PROM_GAUGE, FLICK_PROM_GAUGE_ARRAY)
+#undef FLICK_PROM_GAUGE_ARRAY
+#undef FLICK_PROM_GAUGE
   return Out;
 }

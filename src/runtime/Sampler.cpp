@@ -8,6 +8,7 @@
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "support/BuildInfo.h"
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -41,17 +42,14 @@ uint64_t flick_gauge_now_ns() {
 
 void flick_gauges_enable() {
   flick_gauges &G = flick_gauges_global;
-  for (std::atomic<uint64_t> *F :
-       {&G.queue_depth, &G.inflight_rpcs, &G.pool_buffers, &G.workers_busy,
-        &G.workers_running, &G.rpcs_completed, &G.queue_enqueues,
-        &G.queue_dequeues, &G.queue_wait_ns, &G.lock_wait_ns, &G.lock_acquires,
-        &G.queue_full_waits, &G.pool_gauge_hits, &G.pool_gauge_misses,
-        &G.worker_busy_ns, &G.stalls_detected, &G.ring_wait_ns, &G.steals,
-        &G.sock_syscalls, &G.sock_eagain, &G.window_stalls,
-        &G.shard_slots_live})
-    F->store(0, std::memory_order_relaxed);
-  for (std::atomic<uint64_t> &F : G.shard_depth)
+#define FLICK_ZERO_GAUGE(Type, Name, Kind, Unit, Help)                         \
+  G.Name.store(0, std::memory_order_relaxed);
+#define FLICK_ZERO_ARRAY(Type, Name, Extent, Kind, Unit, Help)                 \
+  for (std::atomic<Type> &F : G.Name)                                          \
     F.store(0, std::memory_order_relaxed);
+  FLICK_GAUGES_SCHEMA(FLICK_ZERO_GAUGE, FLICK_ZERO_ARRAY)
+#undef FLICK_ZERO_ARRAY
+#undef FLICK_ZERO_GAUGE
   flick_gauges_enabled.store(1, std::memory_order_release);
 }
 
@@ -156,54 +154,10 @@ void takeSample(Sampler &S) {
   Smp.t_us = std::chrono::duration<double, std::micro>(
                  std::chrono::steady_clock::now() - S.Epoch)
                  .count();
-  auto Ld = [](const std::atomic<uint64_t> &A) {
-    return A.load(std::memory_order_relaxed);
-  };
-  Smp.queue_depth = Ld(G.queue_depth);
-  Smp.inflight_rpcs = Ld(G.inflight_rpcs);
-  Smp.pool_buffers = Ld(G.pool_buffers);
-  Smp.workers_busy = Ld(G.workers_busy);
-  Smp.workers_running = Ld(G.workers_running);
-  Smp.rpcs_completed = Ld(G.rpcs_completed);
-  Smp.queue_enqueues = Ld(G.queue_enqueues);
-  Smp.queue_dequeues = Ld(G.queue_dequeues);
-  Smp.queue_wait_ns = Ld(G.queue_wait_ns);
-  Smp.lock_wait_ns = Ld(G.lock_wait_ns);
-  Smp.lock_acquires = Ld(G.lock_acquires);
-  Smp.queue_full_waits = Ld(G.queue_full_waits);
-  Smp.pool_hits = Ld(G.pool_gauge_hits);
-  Smp.pool_misses = Ld(G.pool_gauge_misses);
-  Smp.worker_busy_ns = Ld(G.worker_busy_ns);
-  Smp.ring_wait_ns = Ld(G.ring_wait_ns);
-  Smp.steals = Ld(G.steals);
-  Smp.sock_syscalls = Ld(G.sock_syscalls);
-  Smp.sock_eagain = Ld(G.sock_eagain);
-  Smp.window_stalls = Ld(G.window_stalls);
-  uint64_t DepthSum = 0;
-  for (const std::atomic<uint64_t> &F : G.shard_depth) {
-    uint64_t V = Ld(F);
-    DepthSum += V;
-    if (V > Smp.shard_depth_max)
-      Smp.shard_depth_max = V;
-  }
-  // Mean occupancy over the slots actually in use, not all
-  // FLICK_GAUGE_SHARD_SLOTS: prefer the live count the sharded link
-  // reported, fall back to the worker count (shards default to one per
-  // worker), then to every slot.
-  Smp.shard_slots_live = Ld(G.shard_slots_live);
-  uint64_t LiveSlots = Smp.shard_slots_live;
-  if (!LiveSlots)
-    LiveSlots = Smp.workers_running < FLICK_GAUGE_SHARD_SLOTS
-                    ? Smp.workers_running
-                    : FLICK_GAUGE_SHARD_SLOTS;
-  if (!LiveSlots)
-    LiveSlots = FLICK_GAUGE_SHARD_SLOTS;
-  Smp.shard_depth_avg =
-      static_cast<double>(DepthSum) / static_cast<double>(LiveSlots);
-
   // Watchdog scan: count everything currently past the deadline, and bump
   // stalls_detected once per (slot, start stamp) so a stuck RPC is one
-  // detection however many ticks it stays stuck.
+  // detection however many ticks it stays stuck.  It runs before the
+  // snapshot so the sample carries this tick's detections.
   bool NewStall = false;
   if (S.Opts.stall_deadline_us > 0) {
     uint64_t Now = flick_gauge_now_ns();
@@ -222,7 +176,30 @@ void takeSample(Sampler &S) {
       }
     }
   }
-  Smp.stalls_detected = Ld(G.stalls_detected);
+
+#define FLICK_SNAPSHOT_GAUGE(Type, Name, Kind, Unit, Help)                     \
+  Smp.Name = G.Name.load(std::memory_order_relaxed);
+  FLICK_GAUGES_SCHEMA(FLICK_SNAPSHOT_GAUGE, FLICK_SCHEMA_SKIP)
+#undef FLICK_SNAPSHOT_GAUGE
+  uint64_t DepthSum = 0;
+  for (const std::atomic<uint64_t> &F : G.shard_depth) {
+    uint64_t V = F.load(std::memory_order_relaxed);
+    DepthSum += V;
+    if (V > Smp.shard_depth_max)
+      Smp.shard_depth_max = V;
+  }
+  // Mean occupancy over the slots actually in use, not all
+  // FLICK_GAUGE_SHARD_SLOTS: prefer the live count the sharded link
+  // reported, fall back to the worker count (shards default to one per
+  // worker), then to every slot.
+  uint64_t LiveSlots = Smp.shard_slots_live;
+  if (!LiveSlots)
+    LiveSlots = std::min<uint64_t>(Smp.workers_running,
+                                   FLICK_GAUGE_SHARD_SLOTS);
+  if (!LiveSlots)
+    LiveSlots = FLICK_GAUGE_SHARD_SLOTS;
+  Smp.shard_depth_avg =
+      static_cast<double>(DepthSum) / static_cast<double>(LiveSlots);
 
   if (flick_metrics *M = S.Watched.load(std::memory_order_relaxed)) {
     Smp.m_rpcs_sent = watchedLoad(&M->rpcs_sent);
@@ -391,8 +368,8 @@ std::string sampleJson(const flick_sample &Smp, const flick_sample &Prev,
   uint64_t DWaitNs = D(Smp.queue_wait_ns, Prev.queue_wait_ns);
   uint64_t DLockNs = D(Smp.lock_wait_ns, Prev.lock_wait_ns);
   uint64_t DBusyNs = D(Smp.worker_busy_ns, Prev.worker_busy_ns);
-  uint64_t DHits = D(Smp.pool_hits, Prev.pool_hits);
-  uint64_t DMiss = D(Smp.pool_misses, Prev.pool_misses);
+  uint64_t DHits = D(Smp.pool_gauge_hits, Prev.pool_gauge_hits);
+  uint64_t DMiss = D(Smp.pool_gauge_misses, Prev.pool_gauge_misses);
   uint64_t DRingNs = D(Smp.ring_wait_ns, Prev.ring_wait_ns);
   uint64_t DSteals = D(Smp.steals, Prev.steals);
   uint64_t DSys = D(Smp.sock_syscalls, Prev.sock_syscalls);
@@ -566,280 +543,6 @@ std::string flick_sampler_chrome_counters(double epoch_offset_us) {
     Counter("lock_wait_frac", Ts, "frac",
             DtUs > 0 ? DLockNs / (DtUs * 1000.0) : 0);
     Counter("rpcs_per_s", Ts, "rate", DtUs > 0 ? DRpcs * 1e6 / DtUs : 0);
-  }
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Prometheus text exposition
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Escapes a Prometheus label value (backslash, double quote, newline).
-std::string promEscape(const char *S) {
-  std::string Out;
-  for (; *S; ++S) {
-    if (*S == '\\' || *S == '"')
-      Out += '\\';
-    if (*S == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += *S;
-  }
-  return Out;
-}
-
-void promMetric(std::string &Out, const char *Name, const char *Type,
-                const char *Help, double Value) {
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "# HELP %s %s\n# TYPE %s %s\n%s %.9g\n", Name, Help, Name,
-                Type, Name, Value);
-  Out += Buf;
-}
-
-} // namespace
-
-std::string flick_metrics_to_prometheus(const flick_metrics *m,
-                                        const flick_tracer *exemplars) {
-  std::string Out;
-  Out += "# HELP flick_build_info Build attribution; value is always 1.\n";
-  Out += "# TYPE flick_build_info gauge\n";
-  Out += "flick_build_info{git=\"" + promEscape(flick_build_git_hash()) +
-         "\",compiler=\"" + promEscape(flick_build_compiler()) +
-         "\",build_type=\"" + promEscape(flick_build_type()) + "\"} 1\n";
-
-  if (m) {
-    struct Counter {
-      const char *Name;
-      const char *Help;
-      uint64_t Value;
-    };
-    const Counter Counters[] = {
-        {"flick_rpcs_sent_total", "Two-way invokes issued.", m->rpcs_sent},
-        {"flick_oneways_sent_total", "One-way sends issued.",
-         m->oneways_sent},
-        {"flick_replies_received_total", "Replies successfully received.",
-         m->replies_received},
-        {"flick_request_bytes_total", "Bytes sent client to server.",
-         m->request_bytes},
-        {"flick_reply_bytes_total", "Bytes received server to client.",
-         m->reply_bytes},
-        {"flick_rpcs_handled_total", "Requests received and dispatched.",
-         m->rpcs_handled},
-        {"flick_replies_sent_total", "Non-empty replies sent.",
-         m->replies_sent},
-        {"flick_buf_grows_total", "Marshal buffer grow slow paths.",
-         m->buf_grows},
-        {"flick_buf_reuses_total", "Buffer resets that kept an allocation.",
-         m->buf_reuses},
-        {"flick_decode_errors_total", "Malformed or truncated messages.",
-         m->decode_errors},
-        {"flick_transport_errors_total", "Channel send/recv failures.",
-         m->transport_errors},
-        {"flick_bytes_copied_total", "Payload bytes moved by copies.",
-         m->bytes_copied},
-        {"flick_copy_ops_total", "Bulk copy operations on the message path.",
-         m->copy_ops},
-        {"flick_pool_hits_total", "Pooled wire buffers reused.",
-         m->pool_hits},
-        {"flick_pool_misses_total", "Wire-buffer pool misses.",
-         m->pool_misses},
-        {"flick_queue_full_total", "Sends that met a full request queue.",
-         m->queue_full},
-        {"flick_corr_drops_total",
-         "Replies whose correlation id matched no pending call.",
-         m->corr_drops},
-        {"flick_interp_dispatches_total",
-         "Dynamic dispatches run by the interpretive marshaler.",
-         m->interp_dispatches},
-        {"flick_spec_programs_total",
-         "Type programs compiled by the runtime specializer.",
-         m->spec_programs},
-        {"flick_spec_cache_hits_total",
-         "Specialized-program cache hits.", m->spec_cache_hits},
-        {"flick_spec_steps_fused_total",
-         "Primitive marshal steps fused at specialization time.",
-         m->spec_steps_fused},
-        {"flick_spec_dispatches_avoided_total",
-         "Interpreter dispatches saved by specialized programs.",
-         m->spec_dispatches_avoided},
-    };
-    for (const Counter &C : Counters)
-      promMetric(Out, C.Name, "counter", C.Help,
-                 static_cast<double>(C.Value));
-    promMetric(Out, "flick_wire_time_seconds_total", "counter",
-               "Simulated wire time accumulated by modeled links.",
-               m->wire_time_us / 1e6);
-    promMetric(Out, "flick_spec_compile_seconds_total", "counter",
-               "Time spent specializing type programs.",
-               static_cast<double>(m->spec_compile_ns) / 1e9);
-
-    // The RPC latency histogram, in base-unit seconds with cumulative
-    // buckets as the exposition format requires.  When a tracer with a
-    // tail-exemplar reservoir is supplied, each bucket line gets at most
-    // one OpenMetrics exemplar annotation: the slowest retained RPC whose
-    // duration falls in that bucket, so the post-mortem trace for a tail
-    // latency is one trace_id lookup away from the histogram.
-    const flick_exemplar *BucketEx[FLICK_HIST_BUCKETS] = {};
-    if (exemplars) {
-      for (int E = 0; E != FLICK_MAX_ENDPOINTS; ++E)
-        for (int S = 0; S != FLICK_EXEMPLAR_SLOTS; ++S) {
-          const flick_exemplar &X = exemplars->exemplars.slots[E][S];
-          if (!X.n_spans)
-            continue;
-          // Same bucket rule as flick_hist_record: smallest I with
-          // dur < 2^I us.
-          int I = 0;
-          while (I < FLICK_HIST_BUCKETS - 1 &&
-                 X.dur_us >= static_cast<double>(uint64_t(1) << I))
-            ++I;
-          if (!BucketEx[I] || X.dur_us > BucketEx[I]->dur_us)
-            BucketEx[I] = &X;
-        }
-    }
-    const flick_latency_hist &H = m->rpc_latency;
-    Out += "# HELP flick_rpc_latency_seconds Client round-trip latency.\n";
-    Out += "# TYPE flick_rpc_latency_seconds histogram\n";
-    char Buf[256];
-    uint64_t Cum = 0;
-    for (int I = 0; I != FLICK_HIST_BUCKETS; ++I) {
-      if (!H.buckets[I])
-        continue;
-      Cum += H.buckets[I];
-      std::snprintf(Buf, sizeof(Buf),
-                    "flick_rpc_latency_seconds_bucket{le=\"%.9g\"} %llu",
-                    static_cast<double>(uint64_t(1) << I) / 1e6,
-                    static_cast<unsigned long long>(Cum));
-      Out += Buf;
-      if (const flick_exemplar *X = BucketEx[I]) {
-        std::snprintf(Buf, sizeof(Buf),
-                      " # {trace_id=\"0x%llx\",endpoint=\"%s\"} %.9g",
-                      static_cast<unsigned long long>(X->trace_id),
-                      promEscape(flick_endpoint_name(X->endpoint)).c_str(),
-                      X->dur_us / 1e6);
-        Out += Buf;
-      }
-      Out += "\n";
-    }
-    std::snprintf(Buf, sizeof(Buf),
-                  "flick_rpc_latency_seconds_bucket{le=\"+Inf\"} %llu\n"
-                  "flick_rpc_latency_seconds_sum %.9g\n"
-                  "flick_rpc_latency_seconds_count %llu\n",
-                  static_cast<unsigned long long>(H.count), H.sum_us / 1e6,
-                  static_cast<unsigned long long>(H.count));
-    Out += Buf;
-
-    // SLO error-budget counters: one series per endpoint with a
-    // configured objective, labeled with the endpoint name and the
-    // objective's source text.
-    bool AnySlo = false;
-    uint32_t NEndpoints = flick_endpoint_count();
-    if (NEndpoints > FLICK_MAX_ENDPOINTS)
-      NEndpoints = FLICK_MAX_ENDPOINTS;
-    for (uint32_t E = 0; E != NEndpoints; ++E)
-      if (flick_slo_for(E)->set)
-        AnySlo = true;
-    if (AnySlo) {
-      struct SloFamily {
-        const char *Name;
-        const char *Help;
-        uint64_t flick_endpoint_stats::*Field;
-      };
-      const SloFamily Families[] = {
-          {"flick_slo_met_total",
-           "RPCs that completed within their endpoint's latency objective.",
-           &flick_endpoint_stats::slo_met},
-          {"flick_slo_violated_total",
-           "RPCs over their endpoint's latency objective (budget spend).",
-           &flick_endpoint_stats::slo_violated},
-      };
-      for (const SloFamily &F : Families) {
-        Out += std::string("# HELP ") + F.Name + " " + F.Help + "\n";
-        Out += std::string("# TYPE ") + F.Name + " counter\n";
-        for (uint32_t E = 0; E != NEndpoints; ++E) {
-          const flick_slo *Slo = flick_slo_for(E);
-          if (!Slo->set)
-            continue;
-          std::snprintf(Buf, sizeof(Buf),
-                        "%s{endpoint=\"%s\",objective=\"%s\"} %llu\n", F.Name,
-                        promEscape(flick_endpoint_name(E)).c_str(),
-                        promEscape(Slo->objective).c_str(),
-                        static_cast<unsigned long long>(m->anatomy[E].*
-                                                        F.Field));
-          Out += Buf;
-        }
-      }
-    }
-  }
-
-  // The live gauge block: instantaneous values as gauges, cumulative ones
-  // as counters in base units.
-  const flick_gauges &G = flick_gauges_global;
-  auto Ld = [](const std::atomic<uint64_t> &A) {
-    return static_cast<double>(A.load(std::memory_order_relaxed));
-  };
-  promMetric(Out, "flick_queue_depth", "gauge",
-             "Transport requests currently queued.", Ld(G.queue_depth));
-  promMetric(Out, "flick_inflight_rpcs", "gauge",
-             "Client invokes currently in flight.", Ld(G.inflight_rpcs));
-  promMetric(Out, "flick_pool_buffers", "gauge",
-             "Wire buffers parked in per-thread pools.", Ld(G.pool_buffers));
-  promMetric(Out, "flick_workers_busy", "gauge",
-             "Pool workers currently inside dispatch.", Ld(G.workers_busy));
-  promMetric(Out, "flick_workers_running", "gauge",
-             "Live pool worker threads.", Ld(G.workers_running));
-  promMetric(Out, "flick_rpcs_completed_total", "counter",
-             "Client invokes finished.", Ld(G.rpcs_completed));
-  promMetric(Out, "flick_queue_enqueues_total", "counter",
-             "Requests pushed to the MPSC queue.", Ld(G.queue_enqueues));
-  promMetric(Out, "flick_queue_dequeues_total", "counter",
-             "Requests popped by workers.", Ld(G.queue_dequeues));
-  promMetric(Out, "flick_queue_wait_seconds_total", "counter",
-             "Total enqueue-to-dequeue wait.", Ld(G.queue_wait_ns) / 1e9);
-  promMetric(Out, "flick_lock_wait_seconds_total", "counter",
-             "Total time blocked acquiring the queue mutex.",
-             Ld(G.lock_wait_ns) / 1e9);
-  promMetric(Out, "flick_lock_acquires_total", "counter",
-             "Timed queue-mutex acquisitions.", Ld(G.lock_acquires));
-  promMetric(Out, "flick_queue_full_waits_total", "counter",
-             "Sends that met a full request queue.", Ld(G.queue_full_waits));
-  promMetric(Out, "flick_pool_gauge_hits_total", "counter",
-             "Pooled wire buffers reused (gauge-side count).",
-             Ld(G.pool_gauge_hits));
-  promMetric(Out, "flick_pool_gauge_misses_total", "counter",
-             "Wire-buffer pool misses (gauge-side count).",
-             Ld(G.pool_gauge_misses));
-  promMetric(Out, "flick_worker_busy_seconds_total", "counter",
-             "Total time pool workers spent dispatching.",
-             Ld(G.worker_busy_ns) / 1e9);
-  promMetric(Out, "flick_stalls_detected_total", "counter",
-             "Watchdog deadline violations.", Ld(G.stalls_detected));
-  promMetric(Out, "flick_ring_wait_seconds_total", "counter",
-             "Total time senders blocked on a full sharded ring.",
-             Ld(G.ring_wait_ns) / 1e9);
-  promMetric(Out, "flick_steals_total", "counter",
-             "Cross-shard request pops by pool workers.", Ld(G.steals));
-  promMetric(Out, "flick_sock_syscalls_total", "counter",
-             "Socket-transport syscalls issued.", Ld(G.sock_syscalls));
-  promMetric(Out, "flick_sock_eagain_total", "counter",
-             "Socket-transport send EAGAIN retries.", Ld(G.sock_eagain));
-  promMetric(Out, "flick_window_stalls_total", "counter",
-             "Async-client submits that found the pipeline window full.",
-             Ld(G.window_stalls));
-  {
-    Out += "# HELP flick_shard_depth Requests queued per transport shard.\n";
-    Out += "# TYPE flick_shard_depth gauge\n";
-    char Buf[96];
-    for (int I = 0; I != FLICK_GAUGE_SHARD_SLOTS; ++I) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "flick_shard_depth{shard=\"%d\"} %llu\n", I,
-                    static_cast<unsigned long long>(G.shard_depth[I].load(
-                        std::memory_order_relaxed)));
-      Out += Buf;
-    }
   }
   return Out;
 }

@@ -34,15 +34,18 @@
 ///    dumping the ring as post-mortem JSON so a hang under load leaves
 ///    evidence behind.
 ///
-/// Prometheus text exposition of the metrics block plus the live gauges
-/// lives beside this (`flick_metrics_to_prometheus`); bench binaries dump
-/// it when FLICK_METRICS_PROM names a path.
+/// Every gauge is declared once, in FLICK_GAUGES_SCHEMA
+/// (runtime/MetricSchema.h).  The Prometheus text exposition of the
+/// metrics block plus the live gauges is flick_metrics_to_prometheus in
+/// runtime/Metrics.cpp; bench binaries dump it when FLICK_METRICS_PROM
+/// names a path.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FLICK_RUNTIME_SAMPLER_H
 #define FLICK_RUNTIME_SAMPLER_H
 
+#include "MetricSchema.h"
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -54,52 +57,27 @@ struct flick_tracer;
 // Gauges
 //===----------------------------------------------------------------------===//
 
-/// Process-global contention and utilization gauges.  All fields are
-/// relaxed atomics: single writes are exact, cross-field reads are
-/// individually coherent but not a consistent cut -- exactly what a
-/// telemetry sampler needs and nothing more.  Instantaneous gauges
-/// (queue_depth, inflight_rpcs, ...) move both ways; cumulative ones only
-/// grow, and the sampler turns them into per-interval rates.
 /// Per-shard occupancy slots exported by ShardedLink (shard i reports in
 /// slot i mod FLICK_GAUGE_SHARD_SLOTS; the default shard counts fit
 /// without aliasing).
 enum { FLICK_GAUGE_SHARD_SLOTS = 8 };
 
+/// Process-global contention and utilization gauges.  All fields are
+/// relaxed atomics: single writes are exact, cross-field reads are
+/// individually coherent but not a consistent cut -- exactly what a
+/// telemetry sampler needs and nothing more.  Instantaneous (MAX) gauges
+/// (queue_depth, inflight_rpcs, ...) move both ways; cumulative (SUM) ones
+/// only grow, and the sampler turns them into per-interval rates.
+/// shard_slots_live counts the shard slots the live ShardedLink uses, so
+/// exporters average occupancy over those instead of all slots.
 struct flick_gauges {
-  // Instantaneous.
-  std::atomic<uint64_t> queue_depth{0};    ///< transport requests queued
-  std::atomic<uint64_t> inflight_rpcs{0};  ///< client invokes in flight
-  std::atomic<uint64_t> pool_buffers{0};   ///< wire buffers parked in pools
-  std::atomic<uint64_t> workers_busy{0};   ///< servers inside dispatch now
-  std::atomic<uint64_t> workers_running{0};///< live pool worker threads
-  // Cumulative.
-  std::atomic<uint64_t> rpcs_completed{0}; ///< client invokes finished
-  std::atomic<uint64_t> queue_enqueues{0}; ///< requests pushed to the MPSC queue
-  std::atomic<uint64_t> queue_dequeues{0}; ///< requests popped by workers
-  std::atomic<uint64_t> queue_wait_ns{0};  ///< total enqueue->dequeue wait
-  std::atomic<uint64_t> lock_wait_ns{0};   ///< total time blocked acquiring QMu
-  std::atomic<uint64_t> lock_acquires{0};  ///< timed QMu acquisitions
-  std::atomic<uint64_t> queue_full_waits{0}; ///< sends that met a full queue
-  std::atomic<uint64_t> pool_gauge_hits{0};  ///< pooled wire buffers reused
-  std::atomic<uint64_t> pool_gauge_misses{0};///< pool empty: fresh malloc
-  std::atomic<uint64_t> worker_busy_ns{0}; ///< total time servers spent dispatching
-  std::atomic<uint64_t> stalls_detected{0};///< watchdog deadline violations
-  // Sharded transport (the lock-free analogues of lock_wait_ns).
-  std::atomic<uint64_t> ring_wait_ns{0};   ///< senders blocked on a full ring
-  std::atomic<uint64_t> steals{0};         ///< cross-shard request pops
-  // Socket transport.
-  std::atomic<uint64_t> sock_syscalls{0};  ///< sendmsg/recv/epoll_wait issued
-  std::atomic<uint64_t> sock_eagain{0};    ///< EAGAIN retries on the send path
-  // Async pipelined client: submits that found the flow-control window
-  // full (and either pumped a completion or failed fast).
-  std::atomic<uint64_t> window_stalls{0};
-  // Instantaneous per-shard occupancy (ShardedLink).
-  std::atomic<uint64_t> shard_depth[FLICK_GAUGE_SHARD_SLOTS] = {};
-  /// Shard slots actually in use by the live ShardedLink (<= the slot
-  /// count).  Exporters average occupancy over this many slots instead of
-  /// all FLICK_GAUGE_SHARD_SLOTS, so a 4-shard run is not diluted by four
-  /// permanently-zero slots.  0 when no sharded link has reported.
-  std::atomic<uint64_t> shard_slots_live{0};
+#define FLICK_GAUGE_MEMBER(Type, Name, Kind, Unit, Help)                       \
+  std::atomic<Type> Name{0};
+#define FLICK_GAUGE_ARRAY(Type, Name, Extent, Kind, Unit, Help)                \
+  std::atomic<Type> Name[Extent] = {};
+  FLICK_GAUGES_SCHEMA(FLICK_GAUGE_MEMBER, FLICK_GAUGE_ARRAY)
+#undef FLICK_GAUGE_ARRAY
+#undef FLICK_GAUGE_MEMBER
 };
 
 /// The global gauge block (always present; cold when recording is off).
@@ -193,39 +171,18 @@ void flick_stall_mark_end(int slot);
 // Samples
 //===----------------------------------------------------------------------===//
 
-/// One flight-recorder sample: a timestamp plus raw gauge snapshots
-/// (cumulative fields stay cumulative; exporters derive per-interval
-/// rates from consecutive samples) and an optional watched-metrics
-/// excerpt.
+/// One flight-recorder sample: a timestamp plus a raw snapshot of every
+/// scalar gauge, named as in flick_gauges (cumulative fields stay
+/// cumulative; exporters derive per-interval rates from consecutive
+/// samples), and an optional watched-metrics excerpt.
 struct flick_sample {
-  double t_us = 0; ///< since sampler start
-  // Instantaneous gauges.
-  uint64_t queue_depth = 0;
-  uint64_t inflight_rpcs = 0;
-  uint64_t pool_buffers = 0;
-  uint64_t workers_busy = 0;
-  uint64_t workers_running = 0;
+  double t_us = 0;           ///< since sampler start
   uint64_t stalled_rpcs = 0; ///< in flight past the deadline at this tick
-  // Cumulative gauges.
-  uint64_t rpcs_completed = 0;
-  uint64_t queue_enqueues = 0;
-  uint64_t queue_dequeues = 0;
-  uint64_t queue_wait_ns = 0;
-  uint64_t lock_wait_ns = 0;
-  uint64_t lock_acquires = 0;
-  uint64_t queue_full_waits = 0;
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  uint64_t worker_busy_ns = 0;
-  uint64_t stalls_detected = 0;
-  uint64_t ring_wait_ns = 0;
-  uint64_t steals = 0;
-  uint64_t sock_syscalls = 0;
-  uint64_t sock_eagain = 0;
-  uint64_t window_stalls = 0;
+#define FLICK_SAMPLE_GAUGE(Type, Name, Kind, Unit, Help) Type Name = 0;
+  FLICK_GAUGES_SCHEMA(FLICK_SAMPLE_GAUGE, FLICK_SCHEMA_SKIP)
+#undef FLICK_SAMPLE_GAUGE
   uint64_t shard_depth_max = 0; ///< deepest shard slot at this tick
-  uint64_t shard_slots_live = 0; ///< shard slots in use (0: none reported)
-  double shard_depth_avg = 0; ///< mean occupancy over the live slots only
+  double shard_depth_avg = 0;   ///< mean occupancy over the live slots only
   // Watched flick_metrics excerpt (zero when nothing is watched).
   uint64_t m_rpcs_sent = 0;
   uint64_t m_rpcs_handled = 0;
@@ -299,24 +256,5 @@ std::string flick_sampler_chrome_counters(double epoch_offset_us);
 /// Microseconds from \p t's epoch to the sampler's start (positive when
 /// the sampler started after the tracer).  0 when either is absent.
 double flick_sampler_epoch_offset_us(const flick_tracer *t);
-
-//===----------------------------------------------------------------------===//
-// Prometheus text exposition
-//===----------------------------------------------------------------------===//
-
-/// Renders \p m (may be null: gauges only) plus the global gauge block in
-/// the Prometheus text exposition format: HELP/TYPE comment pairs,
-/// `flick_*_total` counters, `flick_*` gauges, the rpc_latency histogram
-/// as a cumulative `flick_rpc_latency_seconds` histogram, and one
-/// `flick_build_info{...} 1` info metric.  When \p m carries per-endpoint
-/// anatomy, `flick_slo_met_total` / `flick_slo_violated_total` counter
-/// families labeled by endpoint are emitted for every endpoint with a
-/// configured objective.  \p exemplars (optional) attaches OpenMetrics
-/// exemplar annotations -- ` # {trace_id="...",endpoint="..."} <secs>` --
-/// to the latency histogram's bucket lines, one per bucket at most,
-/// drawn from the tracer's tail-exemplar reservoir.
-std::string flick_metrics_to_prometheus(const flick_metrics *m,
-                                        const flick_tracer *exemplars =
-                                            nullptr);
 
 #endif // FLICK_RUNTIME_SAMPLER_H

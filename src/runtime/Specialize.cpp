@@ -215,8 +215,10 @@ bool lower(const InterpType &T, uint64_t Base, const InterpWire &W,
     S.Bytes = T.Count;
     S.Covers = 1;
     Out.push_back(std::move(S));
-    if (W.XdrWidening)
-      Out.push_back(Step{Step::K::Align});
+    if (W.XdrWidening) {
+      Out.push_back(Step{});
+      Out.back().Kind = Step::K::Align;
+    }
     return true;
   }
   case InterpType::Kind::CString: {

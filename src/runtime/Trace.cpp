@@ -277,6 +277,12 @@ void record(flick_tracer *T, const flick_span &S) {
   ++T->head;
 }
 
+/// The innermost open span the stack still tracks (the caller ensures
+/// depth > 0; past FLICK_TRACE_MAX_DEPTH that is the deepest tracked one).
+const flick_span &topOpen(const flick_tracer *T) {
+  return T->open[std::min<uint32_t>(T->depth, FLICK_TRACE_MAX_DEPTH) - 1];
+}
+
 /// Opens \p S (already initialized except ids/begin) under the current
 /// innermost span, or as a root of a fresh trace when the stack is empty.
 void pushOpen(flick_tracer *T, flick_span &S) {
@@ -284,10 +290,7 @@ void pushOpen(flick_tracer *T, flick_span &S) {
   S.begin_us = nowUs(T);
   if (S.trace_id == 0) {
     if (T->depth > 0) {
-      const flick_span &Top =
-          T->open[(T->depth <= FLICK_TRACE_MAX_DEPTH ? T->depth
-                                                     : FLICK_TRACE_MAX_DEPTH) -
-                  1];
+      const flick_span &Top = topOpen(T);
       S.trace_id = Top.trace_id;
       S.parent_id = Top.span_id;
       if (!S.endpoint)
@@ -502,10 +505,7 @@ void flick_trace_record_complete(int kind, const char *name, double dur_us) {
   S.begin_us = nowUs(T);
   S.dur_us = dur_us;
   if (T->depth > 0) {
-    const flick_span &Top =
-        T->open[(T->depth <= FLICK_TRACE_MAX_DEPTH ? T->depth
-                                                   : FLICK_TRACE_MAX_DEPTH) -
-                1];
+    const flick_span &Top = topOpen(T);
     S.trace_id = Top.trace_id;
     S.parent_id = Top.span_id;
     S.endpoint = Top.endpoint;
@@ -533,10 +533,7 @@ void flick_trace_stamp(uint64_t *trace_id, uint64_t *parent_id,
   flick_tracer *T = flick_trace_active;
   if (!T || T->depth == 0)
     return;
-  const flick_span &Top =
-      T->open[(T->depth <= FLICK_TRACE_MAX_DEPTH ? T->depth
-                                                 : FLICK_TRACE_MAX_DEPTH) -
-              1];
+  const flick_span &Top = topOpen(T);
   *trace_id = Top.trace_id;
   *parent_id = Top.span_id;
   if (endpoint)

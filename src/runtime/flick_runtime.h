@@ -20,6 +20,7 @@
 #ifndef FLICK_RUNTIME_FLICK_RUNTIME_H
 #define FLICK_RUNTIME_FLICK_RUNTIME_H
 
+#include "MetricSchema.h"
 #include "Trace.h"
 #include <cstdint>
 #include <cstdlib>
@@ -62,74 +63,27 @@ enum {
 
 /// Aggregated runtime counters: RPC and byte totals per endpoint role,
 /// buffer grow/reuse events, scratch-arena high-water mark, error counts,
-/// and accumulated simulated wire time.  Collection is OFF by default --
-/// `flick_metrics_active` is null and every hook below is one predictable
-/// pointer test -- so the generated-stub hot paths (inline encode/decode
-/// and buffer ensure/grab/take) stay untouched.  Enable with
-/// flick_metrics_enable() around a region of interest; bench binaries use
-/// this to emit machine-readable results (see bench/BenchUtil.h).
+/// and accumulated simulated wire time.  Every scalar member is declared
+/// once, with its merge kind, unit and help text, in FLICK_METRICS_SCHEMA
+/// (runtime/MetricSchema.h); merge, JSON and Prometheus are expanded from
+/// that list.  Collection is OFF by default -- `flick_metrics_active` is
+/// null and every hook below is one predictable pointer test -- so the
+/// generated-stub hot paths (inline encode/decode and buffer
+/// ensure/grab/take) stay untouched.  Enable with flick_metrics_enable()
+/// around a region of interest; bench binaries use this to emit
+/// machine-readable results (see bench/BenchUtil.h).
 ///
 /// The installed pointer is thread-local, so the hot path stays a plain
 /// load + store with no shared atomics even under the threaded runtime:
 /// each thread (client driver, pool worker) collects into its own block
 /// and the blocks are combined at dump time with flick_metrics_merge,
-/// which sums counters, max-merges arena_high_water, and merges the
-/// latency histogram bucket-wise.  flick_server_pool does this for its
-/// workers automatically.
+/// which sums SUM members, max-merges MAX members (arena_high_water), and
+/// merges the latency histograms bucket-wise.  flick_server_pool does this
+/// for its workers automatically.
 struct flick_metrics {
-  // Client endpoint.
-  uint64_t rpcs_sent = 0;        ///< two-way invokes issued
-  uint64_t oneways_sent = 0;     ///< one-way sends issued
-  uint64_t replies_received = 0; ///< replies successfully received
-  uint64_t request_bytes = 0;    ///< bytes sent client -> server
-  uint64_t reply_bytes = 0;      ///< bytes received server -> client
-  // Server endpoint.
-  uint64_t rpcs_handled = 0;          ///< requests received and dispatched
-  uint64_t replies_sent = 0;          ///< non-empty replies sent
-  uint64_t server_request_bytes = 0;  ///< request bytes seen by the server
-  uint64_t server_reply_bytes = 0;    ///< reply bytes sent by the server
-  // Buffer reuse (paper §3.1).
-  uint64_t buf_grows = 0;  ///< flick_buf_grow slow-path entries
-  uint64_t buf_reuses = 0; ///< resets that kept an existing allocation
-  // Scratch arena.
-  uint64_t arena_grows = 0;      ///< arena block allocations
-  uint64_t arena_high_water = 0; ///< max bytes live in the current block
-  // Errors.
-  uint64_t decode_errors = 0;    ///< malformed/truncated messages
-  uint64_t transport_errors = 0; ///< channel send/recv failures
-  uint64_t demux_errors = 0;     ///< dispatch found no matching operation
-  uint64_t alloc_errors = 0;     ///< buffer/arena allocation failures
-  // Interpreted marshaling (runtime/Interp.h): type-program nodes visited.
-  uint64_t interp_encodes = 0;
-  uint64_t interp_decodes = 0;
-  // Runtime marshal specialization (runtime/Specialize.h).
-  uint64_t interp_dispatches = 0;       ///< dynamic dispatches the interp ran
-  uint64_t spec_programs = 0;           ///< type programs specialized
-  uint64_t spec_compile_ns = 0;         ///< time spent specializing
-  uint64_t spec_cache_hits = 0;         ///< program-cache hits
-  uint64_t spec_steps_fused = 0;        ///< primitive steps fused at compile
-  uint64_t spec_dispatches_avoided = 0; ///< interp dispatches specialization saved
-  // Copy accounting (zero-copy message path): every bulk byte movement on
-  // the message path -- stub marshal/unmarshal copies, transport staging,
-  // pooled-buffer fills -- adds to these, so "how many times was this
-  // payload copied" is a measured number, not an argument.
-  uint64_t bytes_copied = 0; ///< payload bytes moved by message-path copies
-  uint64_t copy_ops = 0;     ///< number of such bulk copy operations
-  // Scatter-gather marshaling (--gather-min-bytes).
-  uint64_t gather_refs = 0;  ///< segments appended by reference (no copy)
-  uint64_t gather_bytes = 0; ///< bytes covered by those segments
-  // Wire-buffer pool (LocalLink / ThreadedLink free lists).
-  uint64_t pool_hits = 0;   ///< pooled wire buffers reused
-  uint64_t pool_misses = 0; ///< pool empty or too small: fresh allocation
-  // Threaded request queue backpressure (ThreadedLink): sends that found
-  // the bounded queue full and had to wait for a worker to drain it.
-  uint64_t queue_full = 0;
-  // Async client demultiplexer: replies whose correlation id matched no
-  // pending call (duplicate or unknown id) -- dropped and counted, never
-  // fatal.
-  uint64_t corr_drops = 0;
-  // Simulated wire time accumulated by modeled links (SimClock).
-  double wire_time_us = 0;
+#define FLICK_METRIC_MEMBER(Type, Name, Kind, Unit, Help) Type Name = 0;
+  FLICK_METRICS_SCHEMA(FLICK_METRIC_MEMBER)
+#undef FLICK_METRIC_MEMBER
   // Per-call round-trip latency distribution: flick_client_invoke records
   // its wall time here, so every metrics dump (and every FLICK_BENCH_JSON
   // document) carries p50/p90/p99/max beside the aggregate counters.
@@ -152,17 +106,33 @@ void flick_metrics_enable(flick_metrics *m);
 /// values).
 void flick_metrics_disable();
 
-/// Adds \p src's counters into \p dst: plain counters and wire time sum,
-/// arena_high_water takes the max, and the rpc_latency histogram merges
-/// bucket-wise, so derived numbers (copies_per_rpc, percentiles) computed
-/// from the merged block equal those of a single-block run that saw all
-/// the traffic.
+/// Adds \p src's counters into \p dst: SUM members add, MAX members take
+/// the max, and the histograms merge bucket-wise, so derived numbers
+/// (copies_per_rpc, percentiles) computed from the merged block equal
+/// those of a single-block run that saw all the traffic.
 void flick_metrics_merge(flick_metrics *dst, const flick_metrics *src);
 
 /// Renders \p m as a JSON object, e.g. {"rpcs_sent": 3, ...}.  \p indent
 /// is prepended to each line of the body.
 std::string flick_metrics_to_json(const flick_metrics *m,
                                   const char *indent = "  ");
+
+/// Renders \p m (may be null: gauges only) plus the global gauge block
+/// (runtime/Sampler.h) in the Prometheus text exposition format:
+/// HELP/TYPE comment pairs, one series per schema entry (SUM entries as
+/// `flick_<name>_total` counters, MAX entries as `flick_<name>` gauges,
+/// `_ns`/`_us` names as `_seconds` in seconds), the rpc_latency histogram
+/// as a cumulative `flick_rpc_latency_seconds` histogram, and one
+/// `flick_build_info{...} 1` info metric.  When \p m carries per-endpoint
+/// anatomy, `flick_slo_met_total` / `flick_slo_violated_total` counter
+/// families labeled by endpoint are emitted for every endpoint with a
+/// configured objective.  \p exemplars (optional) attaches OpenMetrics
+/// exemplar annotations -- ` # {trace_id="...",endpoint="..."} <secs>` --
+/// to the latency histogram's bucket lines, one per bucket at most,
+/// drawn from the tracer's tail-exemplar reservoir.
+std::string flick_metrics_to_prometheus(const flick_metrics *m,
+                                        const flick_tracer *exemplars =
+                                            nullptr);
 
 /// Renders the latency-anatomy table alone: per used endpoint, the rpc
 /// summary, each phase's p50/p99 and share of the rpc span, SLO counters
@@ -274,6 +244,14 @@ inline uint8_t *flick_buf_grab(flick_buf *b, size_t n) {
   return p;
 }
 
+/// The marshal-path memcpy.  An empty sequence may present a null buffer,
+/// and memcpy's pointers must be valid even for a zero-length copy, so
+/// zero-length copies are skipped here, once for every caller.
+inline void flick_memcpy(void *dst, const void *src, size_t n) {
+  if (n)
+    std::memcpy(dst, src, n);
+}
+
 /// True when \p n more bytes can be consumed.
 inline int flick_buf_check(const flick_buf *b, size_t n) {
   return b->len - b->pos >= n;
@@ -325,7 +303,7 @@ inline int flick_buf_ref(flick_buf *b, const void *p, size_t n) {
   if (b->nrefs == FLICK_BUF_MAX_REFS) {
     if (int err = flick_buf_ensure(b, n))
       return err;
-    std::memcpy(flick_buf_grab(b, n), p, n);
+    flick_memcpy(flick_buf_grab(b, n), p, n);
     return FLICK_OK;
   }
   flick_buf_ref_ent &E = b->refs[b->nrefs++];

@@ -8,6 +8,7 @@
 #include "runtime/transport/ShardedLink.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
+#include <algorithm>
 #include <chrono>
 
 using namespace flick;
@@ -204,8 +205,7 @@ int ShardedLink::pushRequest(Conn *From, Msg M) {
     // Tell the sampler how many shard slots actually exist, so JSONL
     // depth statistics average over live shards, not all 8 slots.
     flick_gauges_global.shard_slots_live.store(
-        NShards < FLICK_GAUGE_SHARD_SLOTS ? NShards
-                                          : FLICK_GAUGE_SHARD_SLOTS,
+        std::min<uint64_t>(NShards, FLICK_GAUGE_SHARD_SLOTS),
         std::memory_order_relaxed);
   } else if (M.TraceId) {
     // A traced request still wants its queue wait attributed (the QUEUE

@@ -68,9 +68,11 @@ TEST_P(WireLayoutTest, HostIdenticalImpliesNoSwap) {
   MintModule M;
   const MintType *Atoms[] = {M.integer(16, true), M.integer(32, false),
                              M.integer(64, true), M.floatType(64)};
-  for (const MintType *T : Atoms)
-    if (L.hostIdentical(T))
+  for (const MintType *T : Atoms) {
+    if (L.hostIdentical(T)) {
       EXPECT_FALSE(L.needsSwap(T));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWires, WireLayoutTest,

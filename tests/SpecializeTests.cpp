@@ -47,8 +47,9 @@ std::vector<uint8_t> encodeBothWays(const InterpType &T, const void *Val,
   EXPECT_EQ(flick_interp_encode(&IB, T, Val, W), FLICK_OK);
   const flick_spec_program *P = flick_specialize(T, W);
   EXPECT_NE(P, nullptr);
-  if (P)
+  if (P) {
     EXPECT_EQ(flick_spec_encode(&SB, P, Val), FLICK_OK);
+  }
   std::vector<uint8_t> Interp = bufBytes(&IB), Spec = bufBytes(&SB);
   EXPECT_EQ(Interp, Spec);
   flick_buf_destroy(&IB);
@@ -215,8 +216,9 @@ TEST_P(SpecWireTest, IntSequenceMatchesAcrossSizes) {
     flick_arena Ar{};
     decodeAndReencode(IntSeqTy, wire(), Wire, &Out, &Ar);
     ASSERT_EQ(Out.Len, N);
-    if (N)
+    if (N) {
       EXPECT_EQ(std::memcmp(Out.Val, Ints.data(), N * 4), 0);
+    }
     flick_arena_destroy(&Ar);
   }
 }
