@@ -247,7 +247,7 @@ public:
   class Row {
   public:
     Row &str(const char *Key, const std::string &V) {
-      field(Key, "\"" + flick_json_escape(V) + "\"");
+      field(Key, '"' + flick_json_escape(V) + '"');
       return *this;
     }
     Row &num(const char *Key, double V) {

@@ -116,7 +116,7 @@ public:
       const auto *A = cast<AoiArray>(T);
       std::string Out = typeRef(A->elem());
       for (uint64_t D : A->dims())
-        Out += "[" + std::to_string(D) + "]";
+        Out += '[' + std::to_string(D) + ']';
       return Out;
     }
     case AoiType::Kind::Struct:

@@ -47,7 +47,7 @@ BackendOutput Backend::generate(PresC &P, const std::string &BaseName) {
 
 StubGen::StubGen(Backend &BE, PresC &P, const std::string &BaseName)
     : BE(BE), P(P), BaseName(BaseName), B(P.Cast), Layout(BE.wire()),
-      Pipeline(BE.options(), Layout) {
+      Pipeline(BE.options(), Layout), Layouts(Pipeline.layouts()) {
   UseEnv = P.Style == "corba" || P.Style == "fluke";
 }
 

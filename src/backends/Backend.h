@@ -248,13 +248,16 @@ private:
   void emitArrayElems(const PresNode *Elem, CastExpr *BaseE, CastExpr *CountE,
                       bool Encode);
 
-  /// Emits the encode-side bulk copy of \p NB bytes from \p BaseE:
-  /// ensure+grab+memcpy, or -- inside a GatherRef step -- a size branch
-  /// between flick_buf_ref and that copy.
-  void emitBulkEncode(const std::string &NB, CastExpr *BaseE);
+  /// Emits the bulk copy of \p NB bytes between \p BaseE and the buffer:
+  /// check+take+memcpy when decoding; ensure+grab+memcpy when encoding,
+  /// or -- inside a GatherRef step -- a size branch between flick_buf_ref
+  /// and that copy.
+  void emitBulkCopy(const std::string &NB, CastExpr *BaseE, bool Encode);
 
-  /// Wire stride of one fixed-size array element (padded to alignment).
-  uint64_t elemStrideOf(const PresNode *Elem) const;
+  /// Emits a loop over \p CountE fixed-size elements of \p Arr, each at
+  /// its own chunk window \p WireBase + i * stride.
+  void emitElemLoop(const PresNode *Elem, CastExpr *Arr, CastExpr *CountE,
+                    CastExpr *WireBase, bool Encode);
 
   /// Allocates \p Bytes of unmarshal storage per semantics/options/side and
   /// returns the (void*) expression.
@@ -281,6 +284,8 @@ private:
   WireLayout Layout;
   /// The optimization pipeline run over every built plan.
   PassPipeline Pipeline;
+  /// The pipeline's layout records, which the emitter lowers from.
+  LayoutCache &Layouts;
 
   /// Plan context for the next top-level emitSequence, set by
   /// genOpHelpers and consumed (then cleared) when the sequence starts:

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The analysis half of the back end: shape classification, fixed-layout
-/// measurement, host/wire bit-identity, memcpy run merging, structural
+/// The analysis half of the back end: shape classification, the layout
+/// walk and its queries (bit-identity, memcpy run merging), structural
 /// type keys, and the strategy-neutral plan builder.  Nothing in this file
 /// touches CAST output; the pass pipeline (Passes.cpp) rewrites the plans
 /// built here and the plan emitter (PlanEmit.cpp) lowers them.
@@ -130,324 +130,190 @@ unsigned flick::chunkAlignFor(const WireLayout &L) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fixed-layout measurement
+// The layout walk
 //===----------------------------------------------------------------------===//
 
-FixedLayout LayoutMeasurer::measure(const PresNode *P) {
-  FixedLayout FL;
-  uint64_t Off = 0;
-  FL.IsFixed = walk(P, Off, FL.MaxAlign);
-  FL.Size = Off;
-  return FL;
+namespace {
+
+/// Host C size (== alignment) of a presented scalar: natural alignment,
+/// enums int-sized.
+unsigned hostScalarSize(const PresNode *P) {
+  if (isa<PresEnum>(P))
+    return 4;
+  const MintType *T = P->mint();
+  switch (T->kind()) {
+  case MintType::Kind::Integer:
+    return cast<MintInteger>(T)->bits() / 8;
+  case MintType::Kind::Float:
+    return cast<MintFloat>(T)->bits() / 8;
+  default:
+    return 1;
+  }
 }
 
-FixedLayout
-LayoutMeasurer::measureSeq(const std::vector<const PresNode *> &Items) {
-  FixedLayout FL;
-  uint64_t Off = 0;
-  for (const PresNode *P : Items)
-    if (!walk(P, Off, FL.MaxAlign)) {
-      FL.IsFixed = false;
-      break;
-    }
-  FL.Size = Off;
-  return FL;
+PresLayout variableLayout() {
+  PresLayout R;
+  R.Fixed = false;
+  return R;
 }
 
-bool LayoutMeasurer::walk(const PresNode *P, uint64_t &Off,
-                          unsigned &MaxAlign) {
+} // namespace
+
+const PresLayout &LayoutCache::of(const PresNode *P) {
+  auto [It, Inserted] = Memo.try_emplace(P);
+  PresLayout &Slot = It->second; // stays valid while compute() inserts
+  if (Inserted) {
+    // The placeholder reads as variable-size, so a cycle (which only a
+    // pointer can close, and pointers are never fixed) ends the walk.
+    Slot.Fixed = false;
+    Slot = compute(P);
+  }
+  return Slot;
+}
+
+PresLayout LayoutCache::compute(const PresNode *P) {
+  PresLayout R;
   if (!P)
-    return true;
-  if (!Seen.insert(P).second)
-    return false; // recursive types are never fixed-size
-  bool Ok = walkNew(P, Off, MaxAlign);
-  Seen.erase(P);
-  return Ok;
-}
-
-bool LayoutMeasurer::walkNew(const PresNode *P, uint64_t &Off,
-                             unsigned &MaxAlign) {
+    return R;
   switch (P->kind()) {
   case PresNode::Kind::Void:
-    return true;
+    break;
   case PresNode::Kind::Prim:
   case PresNode::Kind::Enum: {
-    unsigned A = L.atomAlign(P->mint());
-    unsigned S = L.atomSize(P->mint());
-    Off = alignUpTo(Off, A);
-    Off += S;
-    MaxAlign = std::max(MaxAlign, A);
-    return true;
+    LayoutLeaf Leaf;
+    Leaf.WireSize = L.atomSize(P->mint());
+    Leaf.HostSize = hostScalarSize(P);
+    Leaf.HostIdentical =
+        L.hostIdentical(P->mint()) && Leaf.WireSize == Leaf.HostSize;
+    R.WireSize = Leaf.WireSize;
+    R.WireAlign = L.atomAlign(P->mint());
+    R.HostSize = Leaf.HostSize;
+    R.HostAlign = static_cast<unsigned>(Leaf.HostSize);
+    R.Leaves.push_back(Leaf);
+    break;
   }
   case PresNode::Kind::Struct: {
+    Cursor C;
     for (const PresField &F : cast<PresStruct>(P)->fields())
-      if (!walk(F.Pres, Off, MaxAlign))
-        return false;
-    return true;
+      if (!place(F.Pres, C, &R.Leaves))
+        return variableLayout();
+    R.WireSize = C.WOff;
+    R.WireAlign = C.WAlign;
+    R.HostSize = alignUpTo(C.HOff, C.HAlign);
+    R.HostAlign = C.HAlign;
+    break;
   }
   case PresNode::Kind::FixedArray: {
     const auto *A = cast<PresFixedArray>(P);
-    const MintType *EM = A->elem()->mint();
-    if (isByteElem(L, EM)) {
-      unsigned PU = L.padUnit();
-      Off = alignUpTo(Off, PU);
-      Off += L.padded(A->count());
-      MaxAlign = std::max<unsigned>(MaxAlign, PU);
-      return true;
+    uint64_t N = A->count();
+    if (isByteElem(L, A->elem()->mint())) {
+      // Packed bytes, padded as a whole: one leaf.
+      if (N)
+        R.Leaves.push_back({0, N, 0, N, static_cast<unsigned>(N), true});
+      R.WireSize = L.padded(N);
+      R.WireAlign = L.padUnit();
+      R.HostSize = N;
+      break;
     }
-    FixedLayout EL;
-    {
-      uint64_t EOff = 0;
-      if (!walk(A->elem(), EOff, EL.MaxAlign))
-        return false;
-      EL.Size = EOff;
-    }
-    uint64_t Stride =
-        L.padded(alignUpTo(EL.Size, std::max<uint64_t>(EL.MaxAlign, 1)));
-    Off = alignUpTo(Off, std::max<unsigned>(EL.MaxAlign, 1));
-    Off += A->count() * Stride;
-    MaxAlign = std::max(MaxAlign, EL.MaxAlign);
-    return true;
+    const PresLayout &E = of(A->elem());
+    if (!E.Fixed)
+      return variableLayout();
+    for (uint64_t I = 0; I != N; ++I)
+      for (LayoutLeaf Leaf : E.Leaves) {
+        Leaf.WireOff += I * E.WireStride;
+        Leaf.HostOff += I * E.HostSize;
+        R.Leaves.push_back(Leaf);
+      }
+    R.WireSize = N * E.WireStride;
+    R.WireAlign = E.WireAlign;
+    R.HostSize = N * E.HostSize;
+    R.HostAlign = E.HostAlign;
+    break;
   }
   case PresNode::Kind::Counted:
   case PresNode::Kind::String:
   case PresNode::Kind::OptPtr:
   case PresNode::Kind::Union:
+    return variableLayout();
+  }
+  R.WireStride = L.padded(alignUpTo(R.WireSize, R.WireAlign));
+  return R;
+}
+
+/// Lays \p P out at the cursor.  Every node but a struct starts at its
+/// own alignment, so its record shifts into place; a struct's members lie
+/// inline on the wire, so a struct starting off its alignment is laid out
+/// member by member from where it starts.
+bool LayoutCache::place(const PresNode *P, Cursor &C,
+                        std::vector<LayoutLeaf> *Out) {
+  const PresLayout &R = of(P);
+  if (!R.Fixed)
     return false;
-  }
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Aggregate bit-identity
-//===----------------------------------------------------------------------===//
-
-CScalar flick::hostScalarOf(const PresNode *P) {
-  if (isa<PresEnum>(P))
-    return {4, 4};
-  const MintType *T = P->mint();
-  switch (T->kind()) {
-  case MintType::Kind::Integer: {
-    unsigned S = cast<MintInteger>(T)->bits() / 8;
-    return {S, S};
-  }
-  case MintType::Kind::Float: {
-    unsigned S = cast<MintFloat>(T)->bits() / 8;
-    return {S, S};
-  }
-  case MintType::Kind::Char:
-  case MintType::Kind::Boolean:
-    return {1, 1};
-  default:
-    return {0, 0};
-  }
-}
-
-bool flick::walkBitIdentical(const PresNode *P, const WireLayout &L,
-                             uint64_t &WOff, uint64_t &COff,
-                             unsigned &CAlign) {
-  switch (P->kind()) {
-  case PresNode::Kind::Prim:
-  case PresNode::Kind::Enum: {
-    CScalar H = hostScalarOf(P);
-    if (!H.Size || !L.hostIdentical(P->mint()))
-      return false;
-    unsigned WA = L.atomAlign(P->mint());
-    unsigned WS = L.atomSize(P->mint());
-    WOff = alignUpTo(WOff, WA);
-    COff = alignUpTo(COff, H.Align);
-    if (WOff != COff || WS != H.Size)
-      return false;
-    WOff += WS;
-    COff += H.Size;
-    CAlign = std::max(CAlign, H.Align);
-    return true;
-  }
-  case PresNode::Kind::Struct: {
-    uint64_t SW = WOff, SC = COff;
-    unsigned Inner = 1;
+  uint64_t HStart = alignUpTo(C.HOff, R.HostAlign);
+  if (P && isa<PresStruct>(P) && C.WOff % R.WireAlign != 0) {
+    C.HOff = HStart;
     for (const PresField &F : cast<PresStruct>(P)->fields())
-      if (!walkBitIdentical(F.Pres, L, WOff, COff, Inner))
-        return false;
-    // C pads the struct tail to its alignment; the wire stride (computed
-    // by LayoutMeasurer) pads to max member alignment the same way, so
-    // require the padded ends to agree.
-    uint64_t CEnd = alignUpTo(COff, Inner);
-    uint64_t WEnd = alignUpTo(WOff, Inner);
-    if (CEnd - SC != WEnd - SW)
-      return false;
-    WOff = WEnd;
-    COff = CEnd;
-    CAlign = std::max(CAlign, Inner);
-    return true;
+      place(F.Pres, C, Out);
+  } else {
+    uint64_t WStart = alignUpTo(C.WOff, R.WireAlign);
+    if (Out)
+      for (LayoutLeaf Leaf : R.Leaves) {
+        Leaf.WireOff += WStart;
+        Leaf.HostOff += HStart;
+        Out->push_back(Leaf);
+      }
+    C.WOff = WStart + R.WireSize;
+    C.WAlign = std::max(C.WAlign, R.WireAlign);
   }
-  case PresNode::Kind::FixedArray: {
-    const auto *A = cast<PresFixedArray>(P);
-    for (uint64_t I = 0; I != A->count(); ++I)
-      if (!walkBitIdentical(A->elem(), L, WOff, COff, CAlign))
-        return false;
-    return true;
-  }
-  default:
-    return false;
-  }
+  C.HOff = HStart + R.HostSize;
+  C.HAlign = std::max(C.HAlign, R.HostAlign);
+  return true;
 }
 
-bool flick::presBitIdentical(const PresNode *Elem, const WireLayout &L,
-                             uint64_t &StrideOut) {
-  uint64_t W = 0, C = 0;
-  unsigned Align = 1;
-  if (!walkBitIdentical(Elem, L, W, C, Align))
+uint64_t LayoutCache::placeWire(const PresNode *P, uint64_t Off,
+                                unsigned &MaxAlign) {
+  Cursor C;
+  C.WOff = Off;
+  C.WAlign = MaxAlign;
+  bool Ok = place(P, C, nullptr);
+  (void)Ok;
+  assert(Ok && "placing a variable-size node");
+  MaxAlign = C.WAlign;
+  return C.WOff;
+}
+
+bool flick::presBitIdentical(const PresLayout &R) {
+  if (!R.Fixed || R.WireStride != R.HostSize)
     return false;
-  uint64_t CStride = alignUpTo(C, Align);
-  // The wire stride emitArrayElems uses comes from LayoutMeasurer.
-  LayoutMeasurer M(L);
-  FixedLayout FL = M.measure(Elem);
-  if (!FL.IsFixed)
-    return false;
-  uint64_t WStride =
-      L.padded(alignUpTo(FL.Size, std::max<uint64_t>(FL.MaxAlign, 1)));
-  if (CStride != WStride)
-    return false;
-  StrideOut = CStride;
-  return true;
+  return std::all_of(R.Leaves.begin(), R.Leaves.end(),
+                     [](const LayoutLeaf &Leaf) {
+                       return Leaf.HostIdentical &&
+                              Leaf.WireOff == Leaf.HostOff;
+                     });
 }
 
 //===----------------------------------------------------------------------===//
 // Memcpy run merging
 //===----------------------------------------------------------------------===//
-//
-// A lockstep wire/host walk that mirrors LayoutMeasurer::walkNew on the
-// wire side.  It differs from walkBitIdentical in one load-bearing rule:
-// struct tails pad only the *host* side here, because walkNew lays struct
-// members inline with no tail padding, whereas array elements (where
-// walkBitIdentical is used) stride over the padded size on both sides.
-// Tail divergence then shows up as a later leaf-offset mismatch or as a
-// final HostSize != WireSize, which denseBitIdentical rejects.
 
-namespace {
-
-class RunCollector {
-public:
-  explicit RunCollector(const WireLayout &L) : L(L) {}
-
-  bool walk(const PresNode *P, uint64_t &WOff, uint64_t &COff,
-            unsigned &CAlign, MemcpyRuns &R) {
-    if (!P)
-      return true;
-    if (!Seen.insert(P).second)
-      return false;
-    bool Ok = walkNew(P, WOff, COff, CAlign, R);
-    Seen.erase(P);
-    return Ok;
-  }
-
-private:
-  void addLeaf(MemcpyRuns &R, uint64_t Off, uint64_t Bytes) {
-    if (!R.Runs.empty() && R.Runs.back().Off + R.Runs.back().Bytes == Off)
-      R.Runs.back().Bytes += Bytes;
+MemcpyRuns flick::memcpyRunsOf(const PresLayout &R) {
+  MemcpyRuns Out;
+  if (!R.Fixed)
+    return Out;
+  for (const LayoutLeaf &Leaf : R.Leaves) {
+    if (!Leaf.HostIdentical || Leaf.WireOff != Leaf.HostOff)
+      return MemcpyRuns{};
+    if (!Out.Runs.empty() &&
+        Out.Runs.back().Off + Out.Runs.back().Bytes == Leaf.WireOff)
+      Out.Runs.back().Bytes += Leaf.WireSize;
     else
-      R.Runs.push_back({Off, Bytes});
+      Out.Runs.push_back({Leaf.WireOff, Leaf.WireSize});
+    Out.Leaves += Leaf.Scalars;
   }
-
-  bool walkNew(const PresNode *P, uint64_t &WOff, uint64_t &COff,
-               unsigned &CAlign, MemcpyRuns &R) {
-    switch (P->kind()) {
-    case PresNode::Kind::Void:
-      return true;
-    case PresNode::Kind::Prim:
-    case PresNode::Kind::Enum: {
-      CScalar H = hostScalarOf(P);
-      if (!H.Size || !L.hostIdentical(P->mint()))
-        return false;
-      unsigned WA = L.atomAlign(P->mint());
-      unsigned WS = L.atomSize(P->mint());
-      WOff = alignUpTo(WOff, WA);
-      COff = alignUpTo(COff, H.Align);
-      if (WOff != COff || WS != H.Size)
-        return false;
-      addLeaf(R, WOff, WS);
-      WOff += WS;
-      COff += H.Size;
-      CAlign = std::max(CAlign, H.Align);
-      ++R.Leaves;
-      return true;
-    }
-    case PresNode::Kind::Struct: {
-      unsigned Inner = 1;
-      for (const PresField &F : cast<PresStruct>(P)->fields())
-        if (!walk(F.Pres, WOff, COff, Inner, R))
-          return false;
-      // Host side pads the struct tail; the wire lays the next sibling
-      // straight after the last member (walkNew semantics).
-      COff = alignUpTo(COff, Inner);
-      CAlign = std::max(CAlign, Inner);
-      return true;
-    }
-    case PresNode::Kind::FixedArray: {
-      const auto *A = cast<PresFixedArray>(P);
-      const MintType *EM = A->elem()->mint();
-      if (isByteElem(L, EM)) {
-        unsigned PU = L.padUnit();
-        WOff = alignUpTo(WOff, PU);
-        if (WOff != COff)
-          return false;
-        if (A->count()) {
-          addLeaf(R, WOff, A->count());
-          R.Leaves += static_cast<unsigned>(A->count());
-        }
-        WOff += L.padded(A->count());
-        COff += A->count();
-        return true;
-      }
-      LayoutMeasurer M(L);
-      FixedLayout EL = M.measure(A->elem());
-      if (!EL.IsFixed)
-        return false;
-      uint64_t WStride =
-          L.padded(alignUpTo(EL.Size, std::max<uint64_t>(EL.MaxAlign, 1)));
-      WOff = alignUpTo(WOff, std::max<unsigned>(EL.MaxAlign, 1));
-      for (uint64_t I = 0; I != A->count(); ++I) {
-        uint64_t WS = WOff, CS = COff;
-        unsigned ElemCAlign = 1;
-        if (!walk(A->elem(), WOff, COff, ElemCAlign, R))
-          return false;
-        WOff = WS + WStride;
-        COff = CS + alignUpTo(COff - CS, ElemCAlign);
-        CAlign = std::max(CAlign, ElemCAlign);
-      }
-      return true;
-    }
-    case PresNode::Kind::Counted:
-    case PresNode::Kind::String:
-    case PresNode::Kind::OptPtr:
-    case PresNode::Kind::Union:
-      return false;
-    }
-    return false;
-  }
-
-  const WireLayout &L;
-  std::set<const PresNode *> Seen;
-};
-
-} // namespace
-
-MemcpyRuns flick::memcpyRunsOf(const PresNode *P, const WireLayout &L) {
-  MemcpyRuns R;
-  uint64_t WOff = 0, COff = 0;
-  unsigned CAlign = 1;
-  RunCollector C(L);
-  if (!C.walk(P, WOff, COff, CAlign, R)) {
-    R.Runs.clear();
-    R.Leaves = 0;
-    R.Identical = false;
-    return R;
-  }
-  R.WireSize = WOff;
-  R.HostSize = alignUpTo(COff, CAlign);
-  R.Identical = true;
-  return R;
+  Out.WireSize = R.WireSize;
+  Out.HostSize = R.HostSize;
+  Out.Identical = true;
+  return Out;
 }
 
 bool flick::denseBitIdentical(const MemcpyRuns &R) {
@@ -469,7 +335,7 @@ std::string atomKeyOf(const MintType *T) {
     return (I->isSigned() ? "i" : "u") + std::to_string(I->bits());
   }
   case MintType::Kind::Float:
-    return "f" + std::to_string(cast<MintFloat>(T)->bits());
+    return 'f' + std::to_string(cast<MintFloat>(T)->bits());
   case MintType::Kind::Char:
     return "c";
   case MintType::Kind::Boolean:
@@ -498,7 +364,7 @@ std::string boundKeyOf(const PresNode *P) {
   const auto *MA = dyn_cast<MintArray>(P->mint());
   if (!MA || !MA->isBounded())
     return "u";
-  return "b" + std::to_string(MA->maxLen());
+  return 'b' + std::to_string(MA->maxLen());
 }
 
 void structureKeyImpl(const PresNode *P, std::string &Out,
@@ -591,7 +457,8 @@ std::string flick::presStructureKey(const PresNode *P) {
 
 SeqPlan flick::buildSeqPlan(const std::vector<const PresNode *> &Items,
                             const std::vector<std::string> &Names,
-                            const WireLayout &L, bool Encode, bool ServerSide,
+                            LayoutCache &Layouts, bool Encode,
+                            bool ServerSide,
                             const std::set<const PresNode *> &Active) {
   SeqPlan Plan;
   Plan.Encode = Encode;
@@ -613,16 +480,15 @@ SeqPlan flick::buildSeqPlan(const std::vector<const PresNode *> &Items,
     It.Scalar = K == PKind::Scalar;
     It.HasUnion = presContainsUnion(P);
     It.Recursive = Active.count(P) != 0;
-    LayoutMeasurer M(L);
-    FixedLayout FL = M.measure(P);
-    It.Fixed = FL.IsFixed;
+    const PresLayout &R = Layouts.of(P);
+    It.Fixed = R.Fixed;
     if (It.Fixed) {
-      It.FixedSize = FL.Size;
-      It.FixedAlign = FL.MaxAlign;
+      It.FixedSize = R.WireSize;
+      It.FixedAlign = R.WireAlign;
       It.Storage = StorageClass::Fixed;
-      It.MaxBytes = FL.Size;
+      It.MaxBytes = R.WireSize;
     } else if (P->mint()) {
-      StorageInfo SI = analyzeStorage(P->mint(), L);
+      StorageInfo SI = analyzeStorage(P->mint(), Layouts.wire());
       It.Storage = SI.Class;
       It.MaxBytes = SI.MaxBytes;
     }
@@ -780,8 +646,9 @@ bool flick::aliasableString(const PresString *P, const WireLayout &L) {
   return L.stringCountsNul();
 }
 
-bool flick::gatherableSegment(const PresNode *P, const WireLayout &L,
+bool flick::gatherableSegment(const PresNode *P, LayoutCache &Layouts,
                               bool MemcpyOn) {
+  const WireLayout &L = Layouts.wire();
   const PresNode *Elem = nullptr;
   if (const auto *C = dyn_cast_or_null<PresCounted>(P))
     Elem = C->elem();
@@ -799,7 +666,6 @@ bool flick::gatherableSegment(const PresNode *P, const WireLayout &L,
     return false;
   if (isAtomicMint(EM) && L.hostIdentical(EM))
     return true;
-  uint64_t Stride = 0;
   return classifyPres(Elem) != PKind::Scalar && Elem->ctype() &&
-         presBitIdentical(Elem, L, Stride);
+         presBitIdentical(Layouts.of(Elem));
 }

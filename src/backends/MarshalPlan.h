@@ -14,10 +14,15 @@
 /// message, the passes decide the optimization strategy, and the emitter
 /// owns every chunkAddr/putWire/getWire detail.
 ///
-/// This header also hosts the shared layout analyses (fixed-size
-/// measurement, host/wire bit-identity, memcpy run merging) so the
-/// builder, the passes, and the emitter agree on one set of predicates --
-/// the invariant that keeps plan annotations and emitted code in sync.
+/// This header also hosts the one layout walk (LayoutCache) and the
+/// predicates read off its record -- sizes, strides, host/wire
+/// bit-identity, memcpy runs -- so the builder, the passes, and the
+/// emitter agree on one wire layout by construction.  The layout rule,
+/// stated once: on the wire, struct members lie inline with no tail
+/// padding; in host memory, C rules apply; a subtree block-copies only
+/// when every leaf sits at the same wire and host offset.  A sizeof
+/// static_assert alone cannot catch an offset mismatch, so the rule is
+/// checked leaf by leaf.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace flick {
@@ -68,77 +74,93 @@ std::string decFnFor(const WireLayout &L, unsigned Size);
 unsigned chunkAlignFor(const WireLayout &L);
 
 //===----------------------------------------------------------------------===//
-// Fixed-layout measurement
+// The layout record
 //===----------------------------------------------------------------------===//
 //
-// Exact wire offsets of a fixed-size PRES subtree, mirrored exactly by
-// StubGen::emitFixedInChunk.  Chunks start aligned to chunkAlign(), so
-// member alignment within a chunk is valid whenever MaxAlign <= chunkAlign.
+// One walk lays a fixed-size PRES subtree out on the wire and in host
+// memory in lockstep, and every layout question -- chunk sizes, element
+// strides, bit-identity, memcpy runs, the emitter's chunk offsets -- is a
+// query on the record it produces.  The rules:
+//
+//  - Wire: atoms align to atomAlign and occupy atomSize.  Struct members
+//    lie inline with no head or tail padding.  Byte (char/octet) arrays
+//    align to padUnit and occupy padded(count).  Other arrays align to
+//    their element's wire alignment and stride over
+//    padded(alignUp(element size, element alignment)).
+//  - Host: C rules -- natural alignment, a struct aligned to and padded
+//    to its widest member.
+//  - Block copy: a subtree may be memcpy'd whole only when every leaf is
+//    host-identical at equal wire and host offsets (and, for arrays, the
+//    wire stride equals sizeof).
+//
+// Chunks start aligned to chunkAlign(), so member alignment within a
+// chunk is valid whenever WireAlign <= chunkAlign.
 
-struct FixedLayout {
-  uint64_t Size = 0; ///< exact encoded bytes (before chunk padding)
-  unsigned MaxAlign = 1;
-  bool IsFixed = true; ///< false when the subtree has variable size
+/// One scalar (or one packed byte array) of a laid-out subtree, with
+/// offsets relative to the subtree start.
+struct LayoutLeaf {
+  uint64_t WireOff = 0;
+  uint64_t WireSize = 0; ///< encoded bytes, excluding trailing pad
+  uint64_t HostOff = 0;
+  uint64_t HostSize = 0;
+  unsigned Scalars = 1; ///< scalars covered (a byte array's count)
+  /// Encoded bytes equal the host bytes: no swap, no widening.
+  bool HostIdentical = false;
 };
 
-class LayoutMeasurer {
+struct PresLayout {
+  bool Fixed = true;     ///< false when the subtree has variable size
+  uint64_t WireSize = 0; ///< exact encoded bytes (before chunk padding)
+  unsigned WireAlign = 1;
+  uint64_t HostSize = 0; ///< C sizeof, which is also the host stride
+  unsigned HostAlign = 1;
+  /// Wire distance between consecutive array elements of this type.
+  uint64_t WireStride = 0;
+  std::vector<LayoutLeaf> Leaves; ///< in wire order
+};
+
+/// The layout walk and its per-node memo.  One instance lives for one
+/// back-end run (the pass pipeline owns it; the emitter shares it).
+class LayoutCache {
 public:
-  explicit LayoutMeasurer(const WireLayout &L) : L(L) {}
+  explicit LayoutCache(const WireLayout &L) : L(L) {}
 
-  FixedLayout measure(const PresNode *P);
+  const WireLayout &wire() const { return L; }
 
-  /// Measures a run of items laid out sequentially (struct fields or
-  /// top-level parameters sharing one chunk).
-  FixedLayout measureSeq(const std::vector<const PresNode *> &Items);
+  /// The layout of \p P laid out from an aligned start.
+  const PresLayout &of(const PresNode *P);
 
-  bool walk(const PresNode *P, uint64_t &Off, unsigned &MaxAlign);
+  /// Wire end offset of \p P placed at chunk offset \p Off (a struct
+  /// whose start is unaligned lays its members out from there), raising
+  /// \p MaxAlign to its alignment.
+  uint64_t placeWire(const PresNode *P, uint64_t Off, unsigned &MaxAlign);
 
 private:
-  bool walkNew(const PresNode *P, uint64_t &Off, unsigned &MaxAlign);
+  struct Cursor {
+    uint64_t WOff = 0, HOff = 0;
+    unsigned WAlign = 1, HAlign = 1;
+  };
+  PresLayout compute(const PresNode *P);
+  bool place(const PresNode *P, Cursor &C, std::vector<LayoutLeaf> *Out);
 
   const WireLayout &L;
-  std::set<const PresNode *> Seen;
+  std::unordered_map<const PresNode *, PresLayout> Memo;
 };
 
-//===----------------------------------------------------------------------===//
-// Aggregate bit-identity (USC-style extension; the paper's §3.2 future
-// work): a presented aggregate whose host-C layout matches its wire
-// layout byte for byte may be block-copied whole.
-//===----------------------------------------------------------------------===//
-
-/// Host-C size/alignment of a presented scalar (System V x86-64-ish
-/// rules: natural alignment; enums are int-sized).  The generated code
-/// carries a static_assert so a mismatched ABI fails the build instead of
-/// corrupting messages.
-struct CScalar {
-  unsigned Size = 0;
-  unsigned Align = 0;
-};
-
-CScalar hostScalarOf(const PresNode *P);
-
-/// Walks wire and host layouts in lockstep; true when every scalar lands
-/// at the same offset with the same size and no byte swap, i.e. the
-/// encoded bytes equal the in-memory bytes.
-bool walkBitIdentical(const PresNode *P, const WireLayout &L, uint64_t &WOff,
-                      uint64_t &COff, unsigned &CAlign);
-
-/// True when arrays of \p Elem may be copied whole with memcpy under
-/// \p L; \p StrideOut receives the shared element stride.
-bool presBitIdentical(const PresNode *Elem, const WireLayout &L,
-                      uint64_t &StrideOut);
+/// True when arrays of the type laid out as \p R may be copied whole with
+/// memcpy: every leaf host-identical at equal offsets, equal strides.
+bool presBitIdentical(const PresLayout &R);
 
 //===----------------------------------------------------------------------===//
 // Memcpy run merging
 //===----------------------------------------------------------------------===//
 //
-// The memcpy pass views a fixed subtree as a list of host-identical leaf
-// byte ranges at wire offsets (relative to the subtree start) and merges
-// adjacent ranges into maximal runs.  A subtree whose merged runs reduce
-// to one run covering the whole wire image, with the host image the same
-// size, is "dense bit-identical": the emitter may replace its per-field
-// chunk stores with a single block copy without changing any wire byte
-// (there is no padding for closeChunk/putWire to zero).
+// The memcpy pass merges a subtree's host-identical leaves into maximal
+// byte runs.  A subtree whose merged runs reduce to one run covering the
+// whole wire image, with the host image the same size, is "dense
+// bit-identical": the emitter may replace its per-field chunk stores with
+// a single block copy without changing any wire byte (there is no padding
+// for closeChunk/putWire to zero).
 
 struct MemcpyRun {
   uint64_t Off = 0;   ///< wire offset relative to the subtree start
@@ -148,7 +170,7 @@ struct MemcpyRun {
 struct MemcpyRuns {
   /// Maximal merged runs in offset order.  Empty when Identical is false.
   std::vector<MemcpyRun> Runs;
-  uint64_t WireSize = 0; ///< walkNew-style wire size of the subtree
+  uint64_t WireSize = 0; ///< wire size of the subtree
   uint64_t HostSize = 0; ///< padded host sizeof
   unsigned Leaves = 0;   ///< scalar leaves merged into the runs
   /// False when some leaf is byte-swapped, differently sized, or at a
@@ -156,8 +178,8 @@ struct MemcpyRuns {
   bool Identical = false;
 };
 
-/// Collects and merges the host-identical leaf runs of \p P.
-MemcpyRuns memcpyRunsOf(const PresNode *P, const WireLayout &L);
+/// Merges the host-identical leaf runs of the subtree laid out as \p R.
+MemcpyRuns memcpyRunsOf(const PresLayout &R);
 
 /// True when \p R merged to a single run covering the whole subtree with
 /// matching host size -- the precondition for whole-subtree memcpy.
@@ -185,7 +207,7 @@ struct PlanItem {
   const PresNode *Pres = nullptr; ///< null only in synthetic pass tests
   std::string Name;               ///< dump label
   bool Fixed = false;             ///< wire size is static
-  uint64_t FixedSize = 0;         ///< walkNew size when Fixed
+  uint64_t FixedSize = 0;         ///< PresLayout::WireSize when Fixed
   unsigned FixedAlign = 1;        ///< max interior alignment when Fixed
   bool Scalar = false;            ///< Prim/Enum
   bool HasUnion = false;          ///< subtree contains a union
@@ -275,7 +297,7 @@ struct SeqPlan {
 /// to \p Items.
 SeqPlan buildSeqPlan(const std::vector<const PresNode *> &Items,
                      const std::vector<std::string> &Names,
-                     const WireLayout &L, bool Encode, bool ServerSide,
+                     LayoutCache &Layouts, bool Encode, bool ServerSide,
                      const std::set<const PresNode *> &Active);
 
 /// Renders the step list as stable text (one line per step, two-space
@@ -313,7 +335,8 @@ bool aliasableString(const PresString *P, const WireLayout &L);
 /// when the memcpy pass is on -- host-identical atoms / bit-identical
 /// aggregates), i.e. the bulk copy the gather pass can replace with a
 /// borrowed reference.
-bool gatherableSegment(const PresNode *P, const WireLayout &L, bool MemcpyOn);
+bool gatherableSegment(const PresNode *P, LayoutCache &Layouts,
+                       bool MemcpyOn);
 
 } // namespace flick
 

@@ -17,7 +17,6 @@
 
 #include "backends/Passes.h"
 #include "support/Stats.h"
-#include <cassert>
 
 using namespace flick;
 
@@ -217,10 +216,7 @@ void PassPipeline::passChunk(SeqPlan &Plan) const {
       M.Item = Idx;
       M.WireOff = Off;
       if (It.Pres) {
-        LayoutMeasurer Meas(L);
-        bool Ok = Meas.walk(It.Pres, Off, MaxA);
-        (void)Ok;
-        assert(Ok && "coalesced item must be fixed-size");
+        Off = Layouts.placeWire(It.Pres, Off, MaxA);
       } else {
         // Synthetic items (pass unit tests) carry their layout directly.
         Off = alignUpTo(Off, It.FixedAlign) + It.FixedSize;
@@ -284,7 +280,7 @@ void PassPipeline::passMemcpy(SeqPlan &Plan) const {
       default:
         continue;
       }
-      MemcpyRuns R = memcpyRunsOf(P, L);
+      MemcpyRuns R = memcpyRunsOf(Layouts.of(P));
       if (!denseBitIdentical(R))
         continue;
       // The in-context window must equal the dense wire size: a leading
@@ -321,7 +317,7 @@ void PassPipeline::passGather(SeqPlan &Plan) const {
       const PlanItem &It = Plan.Items[St.Item];
       if (!It.Pres || It.HasUnion || It.Recursive || It.OutOfLine)
         continue;
-      if (!gatherableSegment(It.Pres, L, O.Memcpy))
+      if (!gatherableSegment(It.Pres, Layouts, O.Memcpy))
         continue;
       St.Kind = StepKind::GatherRef;
       St.GatherMinBytes = O.GatherMinBytes;

@@ -109,9 +109,14 @@ std::string passCatalog();
 /// front-end phases.
 class PassPipeline {
 public:
-  PassPipeline(const BackendOptions &O, const WireLayout &L) : O(O), L(L) {}
+  PassPipeline(const BackendOptions &O, const WireLayout &L)
+      : O(O), L(L), Layouts(L) {}
 
   void run(SeqPlan &Plan) const;
+
+  /// The layout records the passes read, memoized for this run; the
+  /// emitter lowers the plans from the same records.
+  LayoutCache &layouts() const { return Layouts; }
 
 private:
   void passInline(SeqPlan &Plan) const;
@@ -124,6 +129,7 @@ private:
 
   const BackendOptions &O;
   const WireLayout &L;
+  mutable LayoutCache Layouts;
 };
 
 } // namespace flick

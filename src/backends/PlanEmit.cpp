@@ -374,13 +374,12 @@ void StubGen::emitValue(const PresNode *P, CastExpr *Val, bool Encode) {
 
   bool Handled = false;
   if (options().Chunk && !ChunkActive && !presContainsUnion(P)) {
-    LayoutMeasurer M(Layout);
-    FixedLayout FL = M.measure(P);
-    if (FL.IsFixed) {
+    const PresLayout &R = Layouts.of(P);
+    if (R.Fixed) {
       // One buffer check for the whole fixed segment, then static-offset
       // chunk addressing (paper §3.1/§3.2).
-      if (FL.Size > 0) {
-        openChunk(alignUpTo(FL.Size, chunkAlign()));
+      if (R.WireSize > 0) {
+        openChunk(alignUpTo(R.WireSize, chunkAlign()));
         emitFixedInChunk(P, Val, Encode);
         closeChunk();
       }
@@ -441,16 +440,8 @@ void StubGen::emitValueInner(const PresNode *P, CastExpr *Val, bool Encode) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fixed-chunk emission (mirrors LayoutMeasurer)
+// Fixed-chunk emission (offsets from the layout record)
 //===----------------------------------------------------------------------===//
-
-uint64_t StubGen::elemStrideOf(const PresNode *Elem) const {
-  LayoutMeasurer M(Layout);
-  FixedLayout EL = M.measure(Elem);
-  assert(EL.IsFixed && "stride of variable element");
-  return Layout.padded(
-      alignUpTo(EL.Size, std::max<uint64_t>(EL.MaxAlign, 1)));
-}
 
 void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
                                bool Encode) {
@@ -465,6 +456,7 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
       getAtomicConv(P, Val);
     return;
   case PresNode::Kind::Struct:
+    // Members lie inline: the wire has no struct head or tail padding.
     for (const PresField &F : cast<PresStruct>(P)->fields())
       emitFixedInChunk(F.Pres, B.mem(Val, F.CName), Encode);
     return;
@@ -472,112 +464,76 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
     const auto *A = cast<PresFixedArray>(P);
     const PresNode *Elem = A->elem();
     const MintType *EM = Elem->mint();
+    const PresLayout &R = Layouts.of(P);
     uint64_t N = A->count();
-    if (isByteElem(Layout, EM)) {
-      // Packed byte array (XDR opaque semantics): one memcpy.
-      ChunkOff = alignUpTo(ChunkOff, Layout.padUnit());
-      CastExpr *Addr = chunkAddr(ChunkVar, ChunkOff);
+    ChunkOff = alignUpTo(ChunkOff, R.WireAlign);
+    uint64_t End = ChunkOff + R.WireSize;
+    CastExpr *Addr = chunkAddr(ChunkVar, ChunkOff);
+    if (isByteElem(Layout, EM) ||
+        (options().Memcpy && isAtomicMint(EM) && Layout.hostIdentical(EM))) {
+      // One memcpy of the host image: packed bytes (XDR opaque semantics,
+      // the only case with wire padding after it), or atoms whose wire
+      // image is the host image.
+      uint64_t H = R.HostSize;
       if (Encode) {
-        stmt(B.exprStmt(B.call("memcpy", {Addr, Val, B.unum(N)})));
-        uint64_t Pad = Layout.padded(N) - N;
-        if (Pad)
+        stmt(B.exprStmt(B.call("memcpy", {Addr, Val, B.unum(H)})));
+        if (R.WireSize > H)
           stmt(B.exprStmt(B.call(
-              "memset",
-              {chunkAddr(ChunkVar, ChunkOff + N), B.num(0),
-               B.unum(Pad)})));
+              "memset", {chunkAddr(ChunkVar, ChunkOff + H), B.num(0),
+                         B.unum(R.WireSize - H)})));
       } else {
         stmt(B.exprStmt(B.call(
             "memcpy", {Val, B.castTo(B.constPtr(B.voidTy()), Addr),
-                       B.unum(N)})));
+                       B.unum(H)})));
       }
-      ChunkOff += Layout.padded(N);
-      return;
+    } else {
+      // Element loop with chunk-relative addressing.  For endian-
+      // mismatched atoms, with the single coalesced space check, the
+      // compiler vectorizes it to a byte-swapping block copy (the modern
+      // equivalent of the paper's USC-style swap copy).
+      emitElemLoop(Elem, Val, B.unum(N), Addr, Encode);
     }
-    if (isAtomicMint(EM)) {
-      unsigned S = Layout.atomSize(EM);
-      unsigned HostS = S; // hostIdentical implies sizes match
-      ChunkOff = alignUpTo(ChunkOff, Layout.atomAlign(EM));
-      CastExpr *Addr = chunkAddr(ChunkVar, ChunkOff);
-      if (options().Memcpy && Layout.hostIdentical(EM)) {
-        if (Encode)
-          stmt(B.exprStmt(
-              B.call("memcpy", {Addr, Val, B.unum(N * HostS)})));
-        else
-          stmt(B.exprStmt(B.call(
-              "memcpy", {Val, B.castTo(B.constPtr(B.voidTy()), Addr),
-                         B.unum(N * HostS)})));
-        ChunkOff += N * S;
-        return;
-      }
-      // Endian-mismatched arrays marshal through an element loop with
-      // chunk-relative addressing; with the single coalesced space check
-      // the compiler vectorizes it to a byte-swapping block copy (the
-      // modern equivalent of the paper's USC-style swap copy).
-      uint64_t Stride = S;
-      std::string IV = freshVar("_i");
-      uint64_t BaseOff = ChunkOff;
-      std::vector<CastStmt *> Body;
-      auto *SaveCur = Cur;
-      uint64_t SaveOff = ChunkOff;
-      std::string SaveVar = ChunkVar;
-      uint64_t SaveCap = ChunkCap;
-      std::string EP = freshVar("_ep");
-      Cur = &Body;
-      stmt(B.varDecl(Encode ? B.ptr(B.prim("uint8_t"))
-                            : B.constPtr(B.prim("uint8_t")),
-                     EP,
-                     B.add(chunkAddr(SaveVar, BaseOff),
-                           B.mul(B.id(IV), B.unum(Stride)))));
-      ChunkVar = EP;
-      ChunkOff = 0;
-      ChunkCap = Stride;
-      emitFixedInChunk(A->elem(), B.idx(Val, B.id(IV)), Encode);
-      Cur = SaveCur;
-      ChunkVar = SaveVar;
-      ChunkCap = SaveCap;
-      ChunkOff = SaveOff + N * Stride;
-      stmt(B.forStmt(
-          B.varDecl(B.prim("size_t"), IV, B.num(0)),
-          B.lt(B.id(IV), B.unum(N)),
-          B.bin("=", B.id(IV), B.add(B.id(IV), B.num(1))), B.block(Body)));
-      return;
-    }
-    // Fixed array of fixed aggregates: loop with per-element chunk base.
-    uint64_t Stride = elemStrideOf(Elem);
-    LayoutMeasurer M(Layout);
-    FixedLayout EL = M.measure(Elem);
-    ChunkOff = alignUpTo(ChunkOff, std::max<unsigned>(EL.MaxAlign, 1));
-    uint64_t BaseOff = ChunkOff;
-    std::string IV = freshVar("_i");
-    std::vector<CastStmt *> Body;
-    auto *SaveCur = Cur;
-    uint64_t SaveOff = ChunkOff;
-    std::string SaveVar = ChunkVar;
-    uint64_t SaveCap = ChunkCap;
-    std::string EP = freshVar("_ep");
-    Cur = &Body;
-    stmt(B.varDecl(Encode ? B.ptr(B.prim("uint8_t"))
-                          : B.constPtr(B.prim("uint8_t")),
-                   EP,
-                   B.add(chunkAddr(SaveVar, BaseOff),
-                         B.mul(B.id(IV), B.unum(Stride)))));
-    ChunkVar = EP;
-    ChunkOff = 0;
-    ChunkCap = Stride;
-    emitFixedInChunk(Elem, B.idx(Val, B.id(IV)), Encode);
-    Cur = SaveCur;
-    ChunkVar = SaveVar;
-    ChunkCap = SaveCap;
-    ChunkOff = SaveOff + A->count() * Stride;
-    stmt(B.forStmt(B.varDecl(B.prim("size_t"), IV, B.num(0)),
-                   B.lt(B.id(IV), B.unum(A->count())),
-                   B.bin("=", B.id(IV), B.add(B.id(IV), B.num(1))),
-                   B.block(Body)));
+    ChunkOff = End;
     return;
   }
   default:
     assert(false && "variable-size node inside fixed chunk");
   }
+}
+
+/// Emits `for (i < Count)` over the elements of \p Arr, each marshaled
+/// with the chunk cursor rebased to its window at \p WireBase + i *
+/// stride.  The caller has ensured or checked the space for all of them.
+void StubGen::emitElemLoop(const PresNode *Elem, CastExpr *Arr,
+                           CastExpr *CountE, CastExpr *WireBase,
+                           bool Encode) {
+  uint64_t Stride = Layouts.of(Elem).WireStride;
+  std::string IV = freshVar("_i");
+  std::vector<CastStmt *> Body;
+  auto *SaveCur = Cur;
+  Cur = &Body;
+  std::string EP = freshVar("_ep");
+  stmt(B.varDecl(Encode ? B.ptr(B.prim("uint8_t"))
+                        : B.constPtr(B.prim("uint8_t")),
+                 EP, B.add(WireBase, B.mul(B.id(IV), B.unum(Stride)))));
+  bool SaveActive = ChunkActive;
+  std::string SaveVar = ChunkVar;
+  uint64_t SaveOff = ChunkOff, SaveCap = ChunkCap;
+  ChunkActive = true;
+  ChunkEncode = Encode;
+  ChunkVar = EP;
+  ChunkOff = 0;
+  ChunkCap = Stride;
+  emitFixedInChunk(Elem, B.idx(Arr, B.id(IV)), Encode);
+  ChunkActive = SaveActive;
+  ChunkVar = SaveVar;
+  ChunkOff = SaveOff;
+  ChunkCap = SaveCap;
+  Cur = SaveCur;
+  stmt(B.forStmt(B.varDecl(B.prim("size_t"), IV, B.num(0)),
+                 B.lt(B.id(IV), CountE),
+                 B.bin("=", B.id(IV), B.add(B.id(IV), B.num(1))),
+                 B.block(Body)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -607,7 +563,7 @@ void StubGen::emitSequence(
   }
 
   SeqPlan Plan =
-      buildSeqPlan(Ps, Names, Layout, Encode, ServerSide, Emitting);
+      buildSeqPlan(Ps, Names, Layouts, Encode, ServerSide, Emitting);
   Plan.Label = Label;
 
   // Framing hooks are plan steps: coalescing never crosses them, and the
@@ -689,7 +645,7 @@ void StubGen::emitPlanSteps(const SeqPlan &Plan,
       break;
     case StepKind::GatherRef: {
       // Same lowering as a VariableSegment, with the gather threshold
-      // armed: the bulk-copy site inside (emitBulkEncode) branches to
+      // armed: the bulk-copy site inside (emitBulkCopy) branches to
       // flick_buf_ref for payloads at or above it.
       uint64_t Save = GatherMin;
       GatherMin = St.GatherMinBytes;
@@ -731,14 +687,25 @@ void StubGen::emitStruct(const PresStruct *P, CastExpr *Val, bool Encode) {
 // Arrays
 //===----------------------------------------------------------------------===//
 
-/// The encode-side bulk copy of NB bytes from BaseE.  Outside a GatherRef
-/// step this is ensure+grab+flick_memcpy (BaseE may be null when NB is 0,
-/// which plain memcpy does not allow).  Inside one,
-/// the copy becomes the else-branch of a runtime size test: at or above
-/// the gather threshold the bytes are *borrowed* via flick_buf_ref and the
-/// transport gathers them at send time, so the payload is never copied
-/// into the marshal buffer at all.
-void StubGen::emitBulkEncode(const std::string &NB, CastExpr *BaseE) {
+/// The bulk copy of NB bytes between BaseE and the buffer.  Decoding is
+/// check+take+memcpy.  Encoding outside a GatherRef step is
+/// ensure+grab+flick_memcpy (BaseE may be null when NB is 0, which plain
+/// memcpy does not allow).  Inside one, the copy becomes the else-branch
+/// of a runtime size test: at or above the gather threshold the bytes are
+/// *borrowed* via flick_buf_ref and the transport gathers them at send
+/// time, so the payload is never copied into the marshal buffer at all.
+void StubGen::emitBulkCopy(const std::string &NB, CastExpr *BaseE,
+                           bool Encode) {
+  if (!Encode) {
+    checkAvail(B.id(NB));
+    stmt(B.exprStmt(B.call(
+        "memcpy",
+        {BaseE,
+         B.castTo(B.constPtr(B.voidTy()),
+                  B.call("flick_buf_take", {bufExpr(), B.id(NB)})),
+         B.id(NB)})));
+    return;
+  }
   auto PlainCopy = [&] {
     if (NoEnsure == 0)
       checkCall(B.call("flick_buf_ensure", {bufExpr(), B.id(NB)}),
@@ -769,79 +736,41 @@ void StubGen::emitArrayElems(const PresNode *Elem, CastExpr *BaseE,
                              CastExpr *CountE, bool Encode) {
   const MintType *EM = Elem->mint();
   unsigned CA = chunkAlign();
+  auto Count = [&] { return B.castTo(B.prim("size_t"), CountE); };
 
   // Bulk byte copy (strings use emitString, so this is opaque/char data).
   if (isByteElem(Layout, EM)) {
     std::string NB = freshVar("_nb");
-    stmt(B.varDecl(B.prim("size_t"), NB,
-                   B.castTo(B.prim("size_t"), CountE)));
-    if (Encode) {
-      emitBulkEncode(NB, BaseE);
-    } else {
-      checkAvail(B.id(NB));
-      stmt(B.exprStmt(B.call(
-          "memcpy",
-          {BaseE,
-           B.castTo(B.constPtr(B.voidTy()),
-                    B.call("flick_buf_take", {bufExpr(), B.id(NB)})),
-           B.id(NB)})));
-    }
+    stmt(B.varDecl(B.prim("size_t"), NB, Count()));
+    emitBulkCopy(NB, BaseE, Encode);
     alignTo(Layout.padUnit() > 1 ? Layout.padUnit() : CA);
     return;
   }
 
+  // Host-identical atoms, and aggregates whose host layout is
+  // bit-identical to their wire layout (the USC-style block copy, paper
+  // §3.2 future work), move whole with one memcpy of Count * Unit bytes.
+  // For aggregates a static_assert in the generated code pins sizeof.
+  const PresLayout &EL = Layouts.of(Elem);
+  std::string NB;
+  uint64_t Unit = 0;
   if (isAtomicMint(EM)) {
-    unsigned S = Layout.atomSize(EM);
-    const auto *I = dyn_cast<MintInteger>(EM);
-    bool SizeMatch = !I || I->bits() / 8 == S;
-    std::string NB = freshVar("_nb");
-    if (options().Memcpy && Layout.hostIdentical(EM)) {
-      stmt(B.varDecl(B.prim("size_t"), NB,
-                     B.mul(B.castTo(B.prim("size_t"), CountE), B.unum(S))));
-      if (Encode) {
-        emitBulkEncode(NB, BaseE);
-      } else {
-        checkAvail(B.id(NB));
-        stmt(B.exprStmt(B.call(
-            "memcpy",
-            {BaseE,
-             B.castTo(B.constPtr(B.voidTy()),
-                      B.call("flick_buf_take", {bufExpr(), B.id(NB)})),
-             B.id(NB)})));
-      }
-      alignTo(CA);
-      return;
-    }
-    (void)S;
-    (void)SizeMatch;
-  }
-
-  // USC-style aggregate block copy (the paper's §3.2 future work): when
-  // the element's host layout is bit-identical to its wire layout, whole
-  // arrays of aggregates move with one memcpy.  A static_assert in the
-  // generated code pins the ABI assumption.
-  uint64_t IdStride = 0;
-  if (options().Memcpy && classifyPres(Elem) != PKind::Scalar &&
-      Elem->ctype() && presBitIdentical(Elem, Layout, IdStride)) {
+    // Named before the test: the stubs' variable numbering depends on it.
+    NB = freshVar("_nb");
+    if (options().Memcpy && Layout.hostIdentical(EM))
+      Unit = Layout.atomSize(EM);
+  } else if (options().Memcpy && classifyPres(Elem) != PKind::Scalar &&
+             Elem->ctype() && presBitIdentical(EL)) {
     stmt(B.rawStmt("static_assert(sizeof(" +
                    printCastType(Elem->ctype(), "") + ") == " +
-                   std::to_string(IdStride) +
+                   std::to_string(EL.HostSize) +
                    ", \"wire/host layout assumption\");"));
-    std::string NB = freshVar("_nb");
-    stmt(B.varDecl(
-        B.prim("size_t"), NB,
-        B.mul(B.castTo(B.prim("size_t"), CountE), B.unum(IdStride))));
-    if (Encode) {
-      emitBulkEncode(NB, BaseE);
-    } else {
-      checkAvail(B.id(NB));
-      stmt(B.exprStmt(B.call(
-          "memcpy",
-          {BaseE,
-           B.castTo(B.constPtr(B.voidTy()),
-                    B.call("flick_buf_take", {bufExpr(), B.id(NB)})),
-           B.id(NB)})));
-    }
+    NB = freshVar("_nb");
+    Unit = EL.HostSize;
+  }
+  if (Unit) {
+    stmt(B.varDecl(B.prim("size_t"), NB, B.mul(Count(), B.unum(Unit))));
+    emitBulkCopy(NB, BaseE, Encode);
     alignTo(CA);
     return;
   }
@@ -849,15 +778,11 @@ void StubGen::emitArrayElems(const PresNode *Elem, CastExpr *BaseE,
   // Fixed-size elements: one space check for the whole array, then a loop
   // with chunk-relative addressing (this is how the paper's rectangle
   // arrays marshal).
-  LayoutMeasurer M(Layout);
-  FixedLayout EL = M.measure(Elem);
-  if (options().Chunk && EL.IsFixed && !presContainsUnion(Elem) &&
+  if (options().Chunk && EL.Fixed && !presContainsUnion(Elem) &&
       (options().Inline || classifyPres(Elem) == PKind::Scalar)) {
-    uint64_t Stride = elemStrideOf(Elem);
-    std::string NB = freshVar("_nb");
-    stmt(B.varDecl(
-        B.prim("size_t"), NB,
-        B.mul(B.castTo(B.prim("size_t"), CountE), B.unum(Stride))));
+    NB = freshVar("_nb");
+    stmt(B.varDecl(B.prim("size_t"), NB,
+                   B.mul(Count(), B.unum(EL.WireStride))));
     std::string Base = freshVar("_ab");
     if (Encode) {
       if (NoEnsure == 0)
@@ -870,33 +795,7 @@ void StubGen::emitArrayElems(const PresNode *Elem, CastExpr *BaseE,
       stmt(B.varDecl(B.constPtr(B.prim("uint8_t")), Base,
                      B.call("flick_buf_take", {bufExpr(), B.id(NB)})));
     }
-    std::string IV = freshVar("_i");
-    std::vector<CastStmt *> Body;
-    auto *SaveCur = Cur;
-    Cur = &Body;
-    std::string EP = freshVar("_ep");
-    stmt(B.varDecl(Encode ? B.ptr(B.prim("uint8_t"))
-                          : B.constPtr(B.prim("uint8_t")),
-                   EP,
-                   B.add(B.id(Base), B.mul(B.id(IV), B.unum(Stride)))));
-    bool SaveActive = ChunkActive;
-    ChunkActive = true;
-    ChunkEncode = Encode;
-    std::string SaveVar = ChunkVar;
-    uint64_t SaveOff = ChunkOff, SaveCap = ChunkCap;
-    ChunkVar = EP;
-    ChunkOff = 0;
-    ChunkCap = Stride;
-    emitFixedInChunk(Elem, B.idx(BaseE, B.id(IV)), Encode);
-    ChunkActive = SaveActive;
-    ChunkVar = SaveVar;
-    ChunkOff = SaveOff;
-    ChunkCap = SaveCap;
-    Cur = SaveCur;
-    stmt(B.forStmt(B.varDecl(B.prim("size_t"), IV, B.num(0)),
-                   B.lt(B.id(IV), B.castTo(B.prim("size_t"), CountE)),
-                   B.bin("=", B.id(IV), B.add(B.id(IV), B.num(1))),
-                   B.block(Body)));
+    emitElemLoop(Elem, BaseE, Count(), B.id(Base), Encode);
     alignTo(CA);
     return;
   }
@@ -909,7 +808,7 @@ void StubGen::emitArrayElems(const PresNode *Elem, CastExpr *BaseE,
   emitValue(Elem, B.idx(BaseE, B.id(IV)), Encode);
   Cur = SaveCur;
   stmt(B.forStmt(B.varDecl(B.prim("size_t"), IV, B.num(0)),
-                 B.lt(B.id(IV), B.castTo(B.prim("size_t"), CountE)),
+                 B.lt(B.id(IV), Count()),
                  B.bin("=", B.id(IV), B.add(B.id(IV), B.num(1))),
                  B.block(Body)));
   alignTo(CA);

@@ -58,7 +58,7 @@ void buildDeclarator(const CastType *T, std::string &Spec, std::string &Decl) {
   }
   case CastType::Kind::Array: {
     const auto *A = cast<CastArray>(T);
-    Decl += A->size() ? "[" + std::to_string(A->size()) + "]" : "[]";
+    Decl += A->size() ? '[' + std::to_string(A->size()) + ']' : "[]";
     buildDeclarator(A->elem(), Spec, Decl);
     return;
   }

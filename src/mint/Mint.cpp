@@ -96,7 +96,7 @@ public:
 
 private:
   void dumpNew(const MintType *T, unsigned Id) {
-    std::string Tag = "#" + std::to_string(Id) + " ";
+    std::string Tag = '#' + std::to_string(Id) + ' ';
     switch (T->kind()) {
     case MintType::Kind::Void:
       W.line(Tag + "void");
@@ -120,9 +120,9 @@ private:
       const auto *A = cast<MintArray>(T);
       std::string Range =
           A->isBounded()
-              ? "[" + std::to_string(A->minLen()) + ".." +
-                    std::to_string(A->maxLen()) + "]"
-              : "[" + std::to_string(A->minLen()) + "..*]";
+              ? '[' + std::to_string(A->minLen()) + ".." +
+                    std::to_string(A->maxLen()) + ']'
+              : '[' + std::to_string(A->minLen()) + "..*]";
       W.open(Tag + "array" + Range);
       dump(A->elem());
       W.close();

@@ -89,7 +89,7 @@ private:
       for (const PresUnionArm &A : U->arms()) {
         std::string Head = A.IsDefault ? "default" : "case";
         for (int64_t V : A.CaseValues)
-          Head += " " + std::to_string(V);
+          Head += ' ' + std::to_string(V);
         if (!A.Pres) {
           W.line(Head + ": void");
           continue;

@@ -323,118 +323,50 @@ uint64_t wireBytes(const Step &S) {
   return S.Kind == Step::K::Put ? S.WireW : S.Bytes;
 }
 
-bool emitEnc(const std::vector<Step> &Steps, const InterpWire &W,
-             std::vector<flick_spec_enc_op> &Ops, unsigned Depth) {
-  auto Push = [&Ops](flick_spec_enc_fn Fn, uint64_t A = 0, uint64_t B = 0,
-                     uint64_t C = 0, uint64_t D = 0, uint64_t Covers = 0) {
-    if (!Fn || !fit32(A) || !fit32(B) || !fit32(C) || !fit32(D) ||
-        !fit32(Covers))
-      return false;
-    flick_spec_enc_op Op;
-    Op.Fn = Fn;
-    Op.A = static_cast<uint32_t>(A);
-    Op.B = static_cast<uint32_t>(B);
-    Op.C = static_cast<uint32_t>(C);
-    Op.D = static_cast<uint32_t>(D);
-    Op.Covers = static_cast<uint32_t>(Covers);
-    Ops.push_back(Op);
-    return true;
-  };
-  for (size_t I = 0; I != Steps.size();) {
-    const Step &S = Steps[I];
-    if (isFixed(S)) {
-      uint64_t Total = 0;
-      size_t J = I;
-      for (; J != Steps.size() && isFixed(Steps[J]); ++J)
-        Total += wireBytes(Steps[J]);
-      if (Total && !Push(flick_stencil_enc_reserve(), Total))
-        return false;
-      for (; I != J; ++I) {
-        const Step &F = Steps[I];
-        bool Ok;
-        switch (F.Kind) {
-        case Step::K::Put:
-          Ok = Push(flick_stencil_enc_scalar(F.HostW, F.WireW, W.BigEndian),
-                    F.Off, 0, 0, 0, F.Covers);
-          break;
-        case Step::K::Memcpy:
-          Ok = Push(flick_stencil_enc_memcpy(), F.Off, F.Bytes, 0, 0,
-                    F.Covers);
-          break;
-        default:
-          Ok = Push(flick_stencil_enc_swap(F.Width), F.Off,
-                    F.Bytes / F.Width, 0, 0, F.Covers);
-          break;
-        }
-        if (!Ok)
-          return false;
-      }
-      continue;
-    }
-    switch (S.Kind) {
-    case Step::K::Align:
-      if (!Push(flick_stencil_enc_align4()))
-        return false;
-      break;
-    case Step::K::CString:
-      if (!Push(flick_stencil_enc_cstring(W.BigEndian, W.XdrWidening),
-                S.Off, 0, 0, 0, S.Covers))
-        return false;
-      break;
-    case Step::K::CountedDense:
-      if (!Push(flick_stencil_enc_counted_dense(W.BigEndian, S.Width),
-                S.Off, S.BufOff, S.Stride, 0, S.Covers))
-        return false;
-      break;
-    case Step::K::LoopFixed: {
-      if (Depth + 1 > FLICK_SPEC_MAX_DEPTH)
-        return false;
-      if (!Push(flick_stencil_enc_loop_fixed(), S.Off, S.Count, S.Stride,
-                0, S.Covers))
-        return false;
-      size_t BodyStart = Ops.size();
-      if (!emitEnc(S.Body, W, Ops, Depth + 1))
-        return false;
-      if (!Push(flick_stencil_enc_loop_end(), 0, 0, 0,
-                Ops.size() - BodyStart))
-        return false;
-      break;
-    }
-    case Step::K::LoopCounted: {
-      if (Depth + 1 > FLICK_SPEC_MAX_DEPTH)
-        return false;
-      size_t Head = Ops.size();
-      if (!Push(flick_stencil_enc_loop_counted(W.BigEndian), S.Off,
-                S.BufOff, S.Stride, 0, S.Covers))
-        return false;
-      size_t BodyStart = Ops.size();
-      if (!emitEnc(S.Body, W, Ops, Depth + 1))
-        return false;
-      if (!Push(flick_stencil_enc_loop_end(), 0, 0, 0,
-                Ops.size() - BodyStart))
-        return false;
-      uint64_t Skip = Ops.size() - Head;
-      if (!fit32(Skip))
-        return false;
-      Ops[Head].D = static_cast<uint32_t>(Skip);
-      break;
-    }
-    default:
-      return false;
-    }
-    ++I;
-  }
-  return true;
-}
+/// The stencil selectors of one marshal direction.  Encode and decode
+/// programs have the same shape op for op; only the kernels differ.
+struct EncodeDir {
+  using Op = flick_spec_enc_op;
+  using Fn = flick_spec_enc_fn;
+  static constexpr auto guard = flick_stencil_enc_reserve;
+  static constexpr auto scalar = flick_stencil_enc_scalar;
+  static constexpr auto copy = flick_stencil_enc_memcpy;
+  static constexpr auto swap = flick_stencil_enc_swap;
+  static constexpr auto align4 = flick_stencil_enc_align4;
+  static constexpr auto cstring = flick_stencil_enc_cstring;
+  static constexpr auto countedDense = flick_stencil_enc_counted_dense;
+  static constexpr auto loopFixed = flick_stencil_enc_loop_fixed;
+  static constexpr auto loopCounted = flick_stencil_enc_loop_counted;
+  static constexpr auto loopEnd = flick_stencil_enc_loop_end;
+};
 
-bool emitDec(const std::vector<Step> &Steps, const InterpWire &W,
-             std::vector<flick_spec_dec_op> &Ops, unsigned Depth) {
-  auto Push = [&Ops](flick_spec_dec_fn Fn, uint64_t A = 0, uint64_t B = 0,
+struct DecodeDir {
+  using Op = flick_spec_dec_op;
+  using Fn = flick_spec_dec_fn;
+  static constexpr auto guard = flick_stencil_dec_check;
+  static constexpr auto scalar = flick_stencil_dec_scalar;
+  static constexpr auto copy = flick_stencil_dec_memcpy;
+  static constexpr auto swap = flick_stencil_dec_swap;
+  static constexpr auto align4 = flick_stencil_dec_align4;
+  static constexpr auto cstring = flick_stencil_dec_cstring;
+  static constexpr auto countedDense = flick_stencil_dec_counted_dense;
+  static constexpr auto loopFixed = flick_stencil_dec_loop_fixed;
+  static constexpr auto loopCounted = flick_stencil_dec_loop_counted;
+  static constexpr auto loopEnd = flick_stencil_dec_loop_end;
+};
+
+/// Emits \p Steps as \p Dir's op array: one guard (encode reservation,
+/// decode bounds check) per run of fixed steps, loops bracketed by their
+/// head and end ops.
+template <typename Dir>
+bool emitOps(const std::vector<Step> &Steps, const InterpWire &W,
+             std::vector<typename Dir::Op> &Ops, unsigned Depth) {
+  auto Push = [&Ops](typename Dir::Fn Fn, uint64_t A = 0, uint64_t B = 0,
                      uint64_t C = 0, uint64_t D = 0, uint64_t Covers = 0) {
     if (!Fn || !fit32(A) || !fit32(B) || !fit32(C) || !fit32(D) ||
         !fit32(Covers))
       return false;
-    flick_spec_dec_op Op;
+    typename Dir::Op Op;
     Op.Fn = Fn;
     Op.A = static_cast<uint32_t>(A);
     Op.B = static_cast<uint32_t>(B);
@@ -451,23 +383,22 @@ bool emitDec(const std::vector<Step> &Steps, const InterpWire &W,
       size_t J = I;
       for (; J != Steps.size() && isFixed(Steps[J]); ++J)
         Total += wireBytes(Steps[J]);
-      if (Total && !Push(flick_stencil_dec_check(), Total))
+      if (Total && !Push(Dir::guard(), Total))
         return false;
       for (; I != J; ++I) {
         const Step &F = Steps[I];
         bool Ok;
         switch (F.Kind) {
         case Step::K::Put:
-          Ok = Push(flick_stencil_dec_scalar(F.HostW, F.WireW, W.BigEndian),
-                    F.Off, 0, 0, 0, F.Covers);
+          Ok = Push(Dir::scalar(F.HostW, F.WireW, W.BigEndian), F.Off, 0, 0,
+                    0, F.Covers);
           break;
         case Step::K::Memcpy:
-          Ok = Push(flick_stencil_dec_memcpy(), F.Off, F.Bytes, 0, 0,
-                    F.Covers);
+          Ok = Push(Dir::copy(), F.Off, F.Bytes, 0, 0, F.Covers);
           break;
         default:
-          Ok = Push(flick_stencil_dec_swap(F.Width), F.Off,
-                    F.Bytes / F.Width, 0, 0, F.Covers);
+          Ok = Push(Dir::swap(F.Width), F.Off, F.Bytes / F.Width, 0, 0,
+                    F.Covers);
           break;
         }
         if (!Ok)
@@ -477,50 +408,42 @@ bool emitDec(const std::vector<Step> &Steps, const InterpWire &W,
     }
     switch (S.Kind) {
     case Step::K::Align:
-      if (!Push(flick_stencil_dec_align4()))
+      if (!Push(Dir::align4()))
         return false;
       break;
     case Step::K::CString:
-      if (!Push(flick_stencil_dec_cstring(W.BigEndian, W.XdrWidening),
-                S.Off, 0, 0, 0, S.Covers))
+      if (!Push(Dir::cstring(W.BigEndian, W.XdrWidening), S.Off, 0, 0, 0,
+                S.Covers))
         return false;
       break;
     case Step::K::CountedDense:
-      if (!Push(flick_stencil_dec_counted_dense(W.BigEndian, S.Width),
-                S.Off, S.BufOff, S.Stride, 0, S.Covers))
+      if (!Push(Dir::countedDense(W.BigEndian, S.Width), S.Off, S.BufOff,
+                S.Stride, 0, S.Covers))
         return false;
       break;
-    case Step::K::LoopFixed: {
-      if (Depth + 1 > FLICK_SPEC_MAX_DEPTH)
-        return false;
-      if (!Push(flick_stencil_dec_loop_fixed(), S.Off, S.Count, S.Stride,
-                0, S.Covers))
-        return false;
-      size_t BodyStart = Ops.size();
-      if (!emitDec(S.Body, W, Ops, Depth + 1))
-        return false;
-      if (!Push(flick_stencil_dec_loop_end(), 0, 0, 0,
-                Ops.size() - BodyStart))
-        return false;
-      break;
-    }
+    case Step::K::LoopFixed:
     case Step::K::LoopCounted: {
       if (Depth + 1 > FLICK_SPEC_MAX_DEPTH)
         return false;
+      bool Counted = S.Kind == Step::K::LoopCounted;
       size_t Head = Ops.size();
-      if (!Push(flick_stencil_dec_loop_counted(W.BigEndian), S.Off,
-                S.BufOff, S.Stride, 0, S.Covers))
+      if (!(Counted ? Push(Dir::loopCounted(W.BigEndian), S.Off, S.BufOff,
+                           S.Stride, 0, S.Covers)
+                    : Push(Dir::loopFixed(), S.Off, S.Count, S.Stride, 0,
+                           S.Covers)))
         return false;
       size_t BodyStart = Ops.size();
-      if (!emitDec(S.Body, W, Ops, Depth + 1))
+      if (!emitOps<Dir>(S.Body, W, Ops, Depth + 1))
         return false;
-      if (!Push(flick_stencil_dec_loop_end(), 0, 0, 0,
-                Ops.size() - BodyStart))
+      if (!Push(Dir::loopEnd(), 0, 0, 0, Ops.size() - BodyStart))
         return false;
-      uint64_t Skip = Ops.size() - Head;
-      if (!fit32(Skip))
-        return false;
-      Ops[Head].D = static_cast<uint32_t>(Skip);
+      if (Counted) {
+        // The counted head skips its body when the length is zero.
+        uint64_t Skip = Ops.size() - Head;
+        if (!fit32(Skip))
+          return false;
+        Ops[Head].D = static_cast<uint32_t>(Skip);
+      }
       break;
     }
     default:
@@ -542,7 +465,8 @@ std::unique_ptr<flick_spec_program> compileProgram(const InterpType &T,
     return nullptr;
   fuse(Steps, W, Fused);
   auto P = std::make_unique<flick_spec_program>();
-  if (!emitEnc(Steps, W, P->Enc, 0) || !emitDec(Steps, W, P->Dec, 0))
+  if (!emitOps<EncodeDir>(Steps, W, P->Enc, 0) ||
+      !emitOps<DecodeDir>(Steps, W, P->Dec, 0))
     return nullptr;
   P->Enc.push_back({flick_stencil_enc_end()});
   P->Dec.push_back({flick_stencil_dec_end()});

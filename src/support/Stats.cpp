@@ -143,7 +143,7 @@ void renderCounters(
       Out += ",";
     Out += "\n";
     indentTo(Out, Depth + 1);
-    Out += "\"" + jsonEscape(Counters[I].first) +
+    Out += '"' + jsonEscape(Counters[I].first) +
            "\": " + std::to_string(Counters[I].second);
   }
   if (!Counters.empty()) {
@@ -189,7 +189,7 @@ std::string Stats::toJson() const {
   Out += "\"build\": " + flick_build_info_json() + ",\n";
   for (const auto &N : Notes) {
     indentTo(Out, 1);
-    Out += "\"" + jsonEscape(N.first) + "\": \"" + jsonEscape(N.second) +
+    Out += '"' + jsonEscape(N.first) + "\": \"" + jsonEscape(N.second) +
            "\",\n";
   }
   indentTo(Out, 1);
@@ -228,7 +228,7 @@ void renderChromeRegion(std::string &Out, const StatsRegion &R,
     for (size_t I = 0; I != R.Counters.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += "\"" + jsonEscape(R.Counters[I].first) +
+      Out += '"' + jsonEscape(R.Counters[I].first) +
              "\": " + std::to_string(R.Counters[I].second);
     }
     Out += "}";

@@ -262,7 +262,8 @@ TEST(MemcpyRuns, DenseStructMergesToOneRun) {
   PresStruct *S = F.structOf(
       "S1", {{"a", F.i32()}, {"b", F.i32()}, {"c", F.arrOf(F.i32(), 2)}});
   WireLayout L(WireKind::CdrLE);
-  MemcpyRuns R = memcpyRunsOf(S, L);
+  LayoutCache C(L);
+  MemcpyRuns R = memcpyRunsOf(C.of(S));
   EXPECT_TRUE(R.Identical);
   ASSERT_EQ(R.Runs.size(), 1u);
   EXPECT_EQ(R.Runs[0].Off, 0u);
@@ -279,7 +280,8 @@ TEST(MemcpyRuns, InteriorPaddingSplitsRuns) {
   // leaves form two runs and the subtree cannot block-copy whole.
   PresStruct *S = F.structOf("S2", {{"a", F.i32()}, {"b", F.i64()}});
   WireLayout L(WireKind::CdrLE);
-  MemcpyRuns R = memcpyRunsOf(S, L);
+  LayoutCache C(L);
+  MemcpyRuns R = memcpyRunsOf(C.of(S));
   EXPECT_TRUE(R.Identical);
   ASSERT_EQ(R.Runs.size(), 2u);
   EXPECT_EQ(R.Runs[0].Off, 0u);
@@ -296,7 +298,8 @@ TEST(MemcpyRuns, HostTailPaddingBlocksDensity) {
   // bytes past the wire image.
   PresStruct *S = F.structOf("S3", {{"a", F.i64()}, {"b", F.i32()}});
   WireLayout L(WireKind::CdrLE);
-  MemcpyRuns R = memcpyRunsOf(S, L);
+  LayoutCache C(L);
+  MemcpyRuns R = memcpyRunsOf(C.of(S));
   EXPECT_TRUE(R.Identical);
   ASSERT_EQ(R.Runs.size(), 1u);
   EXPECT_EQ(R.Runs[0].Bytes, 12u);
@@ -311,7 +314,8 @@ TEST(MemcpyRuns, ByteSwappedWireIsNotIdentical) {
   // XDR is big-endian; on the little-endian hosts the suite targets, no
   // leaf is host-identical.
   WireLayout L(WireKind::Xdr);
-  MemcpyRuns R = memcpyRunsOf(S, L);
+  LayoutCache C(L);
+  MemcpyRuns R = memcpyRunsOf(C.of(S));
   EXPECT_FALSE(R.Identical);
   EXPECT_FALSE(denseBitIdentical(R));
 }
@@ -322,9 +326,120 @@ TEST(MemcpyRuns, TinySubtreesAreNotWorthABlockCopy) {
   // below the two-leaf/8-byte floor for promotion.
   PresStruct *S = F.structOf("S5", {{"a", F.i32()}});
   WireLayout L(WireKind::CdrLE);
-  MemcpyRuns R = memcpyRunsOf(S, L);
+  LayoutCache C(L);
+  MemcpyRuns R = memcpyRunsOf(C.of(S));
   EXPECT_TRUE(R.Identical);
   EXPECT_FALSE(denseBitIdentical(R));
+}
+
+//===----------------------------------------------------------------------===//
+// The layout record
+//===----------------------------------------------------------------------===//
+
+/// struct Inner { long a; octet b; }; struct Elem { Inner s; octet c, d,
+/// e, f; }: on the wire Inner has no tail padding, so c follows b at
+/// offset 5, while in host memory sizeof(Inner) == 8 puts c at 8.  Both
+/// images are 12 bytes, so a sizeof check alone would pass.
+struct NestedTailFixture : PresFixture {
+  PresPrim *u8() {
+    return P.make<PresPrim>(P.Mint.integer(8, false), B.prim("uint8_t"));
+  }
+  PresStruct *elem() {
+    PresStruct *Inner = structOf("Inner", {{"a", i32()}, {"b", u8()}});
+    return structOf("Elem", {{"s", Inner},
+                             {"c", u8()},
+                             {"d", u8()},
+                             {"e", u8()},
+                             {"f", u8()}});
+  }
+};
+
+TEST(LayoutRecord, NestedStructTailIsNotBitIdentical) {
+  NestedTailFixture F;
+  PresStruct *E = F.elem();
+  WireLayout L(WireKind::CdrLE);
+  LayoutCache C(L);
+  const PresLayout &R = C.of(E);
+  ASSERT_TRUE(R.Fixed);
+  EXPECT_EQ(R.WireSize, 9u);
+  EXPECT_EQ(R.WireStride, 12u);
+  EXPECT_EQ(R.HostSize, 12u);
+  ASSERT_EQ(R.Leaves.size(), 6u); // a, b, c, d, e, f
+  const LayoutLeaf &CLeaf = R.Leaves[2];
+  EXPECT_TRUE(CLeaf.HostIdentical);
+  EXPECT_EQ(CLeaf.WireOff, 5u);
+  EXPECT_EQ(CLeaf.HostOff, 8u);
+  EXPECT_FALSE(presBitIdentical(R));
+  MemcpyRuns Runs = memcpyRunsOf(R);
+  EXPECT_FALSE(Runs.Identical);
+  EXPECT_FALSE(denseBitIdentical(Runs));
+}
+
+TEST(LayoutRecord, MatchingNestedStructIsBitIdentical) {
+  PresFixture F;
+  // struct Rect { Pt a; Pt b; } with Pt { int32 x, y; }: every leaf at the
+  // same offset on both sides, strides equal.
+  PresStruct *Pt = F.structOf("Pt", {{"x", F.i32()}, {"y", F.i32()}});
+  PresStruct *Rect = F.structOf("Rect", {{"a", Pt}, {"b", Pt}});
+  WireLayout L(WireKind::CdrLE);
+  LayoutCache C(L);
+  const PresLayout &R = C.of(Rect);
+  EXPECT_EQ(R.WireSize, 16u);
+  EXPECT_EQ(R.HostSize, 16u);
+  EXPECT_TRUE(presBitIdentical(R));
+  EXPECT_TRUE(denseBitIdentical(memcpyRunsOf(R)));
+}
+
+TEST(LayoutRecord, NestedStructStartsAtItsHostAlignment) {
+  NestedTailFixture F;
+  // struct { octet x; struct { octet a; int32 b; } s; }: C aligns s to 4,
+  // so `a` sits at host offset 4 but wire offset 1.
+  PresStruct *In = F.structOf("In", {{"a", F.u8()}, {"b", F.i32()}});
+  PresStruct *Out = F.structOf("Out", {{"x", F.u8()}, {"s", In}});
+  WireLayout L(WireKind::CdrLE);
+  LayoutCache C(L);
+  const PresLayout &R = C.of(Out);
+  EXPECT_EQ(R.WireSize, 8u);
+  EXPECT_EQ(R.HostSize, 12u);
+  ASSERT_EQ(R.Leaves.size(), 3u);
+  EXPECT_EQ(R.Leaves[1].WireOff, 1u);
+  EXPECT_EQ(R.Leaves[1].HostOff, 4u);
+  EXPECT_FALSE(memcpyRunsOf(R).Identical);
+}
+
+TEST(LayoutRecord, XdrByteArraysPadOnlyOnTheWire) {
+  NestedTailFixture F;
+  WireLayout L(WireKind::Xdr);
+  LayoutCache C(L);
+  // Byte arrays pack like the host and pad to 4 as a whole: 4 + 8 bytes
+  // agree with the host image, 3 + 4 do not (the wire pads `a` to 4).
+  PresStruct *Even = F.structOf(
+      "Even", {{"a", F.arrOf(F.u8(), 4)}, {"b", F.arrOf(F.u8(), 8)}});
+  PresStruct *Odd = F.structOf(
+      "Odd", {{"a", F.arrOf(F.u8(), 3)}, {"b", F.arrOf(F.u8(), 4)}});
+  EXPECT_TRUE(presBitIdentical(C.of(Even)));
+  EXPECT_EQ(C.of(Even).WireStride, 12u);
+  const PresLayout &R = C.of(Odd);
+  EXPECT_EQ(R.WireSize, 8u);
+  EXPECT_EQ(R.HostSize, 7u);
+  EXPECT_FALSE(presBitIdentical(R));
+}
+
+TEST(LayoutRecord, UnalignedStructLaysMembersInline) {
+  NestedTailFixture F;
+  // An octet then struct { octet b; int32 a; }: `b` follows at 1, `a`
+  // aligns to 4, and the chunk ends at 8 -- not at 12, where shifting the
+  // struct's aligned-start record to offset 4 would end it.
+  PresStruct *In = F.structOf("In", {{"b", F.u8()}, {"a", F.i32()}});
+  WireLayout L(WireKind::CdrLE);
+  LayoutCache C(L);
+  EXPECT_EQ(C.of(In).WireSize, 8u);
+  unsigned MaxAlign = 1;
+  uint64_t Off = C.placeWire(F.u8(), 0, MaxAlign);
+  EXPECT_EQ(Off, 1u);
+  Off = C.placeWire(In, Off, MaxAlign);
+  EXPECT_EQ(Off, 8u);
+  EXPECT_EQ(MaxAlign, 4u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -475,8 +590,9 @@ TEST(PlanBuilder, AnalyzesItemsAndEmitsOneSegmentEach) {
   auto *VoidP = F.P.make<PresVoid>(F.P.Mint.voidType());
   PresStruct *S = F.structOf("Pt", {{"x", F.i32()}, {"y", F.i32()}});
   WireLayout L(WireKind::CdrLE);
+  LayoutCache C(L);
   std::set<const PresNode *> Active;
-  SeqPlan Plan = buildSeqPlan({A, VoidP, S}, {"a", "v", "s"}, L,
+  SeqPlan Plan = buildSeqPlan({A, VoidP, S}, {"a", "v", "s"}, C,
                               /*Encode=*/true, /*ServerSide=*/false, Active);
 
   ASSERT_EQ(Plan.Items.size(), 3u);

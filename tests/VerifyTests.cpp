@@ -73,10 +73,10 @@ TEST(Verify, DuplicateCaseLabels) {
   auto *L = M.make<AoiPrimitive>(AoiPrimKind::Long);
   std::vector<AoiUnionCase> Cases(2);
   Cases[0].Labels = {{false, 3}};
-  Cases[0].FieldName = "a";
+  Cases[0].FieldName = 'a';
   Cases[0].Type = L;
   Cases[1].Labels = {{false, 3}};
-  Cases[1].FieldName = "b";
+  Cases[1].FieldName = 'b';
   Cases[1].Type = L;
   auto *U = M.make<AoiUnion>("u", L, std::move(Cases));
   M.addNamedType(U);
@@ -98,9 +98,9 @@ TEST(Verify, DuplicateOperationNames) {
   AoiModule M;
   auto *V = M.make<AoiPrimitive>(AoiPrimKind::Void);
   AoiInterface *If = M.makeInterface();
-  If->Name = If->ScopedName = "I";
+  If->Name = If->ScopedName = 'I';
   AoiOperation A;
-  A.Name = "f";
+  A.Name = 'f';
   A.ReturnType = V;
   A.RequestCode = 1;
   AoiOperation B = A;
@@ -113,13 +113,13 @@ TEST(Verify, DuplicateRequestCodes) {
   AoiModule M;
   auto *V = M.make<AoiPrimitive>(AoiPrimKind::Void);
   AoiInterface *If = M.makeInterface();
-  If->Name = If->ScopedName = "I";
+  If->Name = If->ScopedName = 'I';
   AoiOperation A;
-  A.Name = "f";
+  A.Name = 'f';
   A.ReturnType = V;
   A.RequestCode = 5;
   AoiOperation B = A;
-  B.Name = "g";
+  B.Name = 'g';
   If->Operations = {A, B};
   verifyFails(M, "duplicate request code");
 }
@@ -128,7 +128,7 @@ TEST(Verify, OnewayConstraints) {
   AoiModule M;
   auto *L = M.make<AoiPrimitive>(AoiPrimKind::Long);
   AoiInterface *If = M.makeInterface();
-  If->Name = If->ScopedName = "I";
+  If->Name = If->ScopedName = 'I';
   AoiOperation Op;
   Op.Name = "bad";
   Op.ReturnType = L; // oneway must return void
@@ -143,7 +143,7 @@ TEST(Verify, OnewayOutParamRejected) {
   auto *L = M.make<AoiPrimitive>(AoiPrimKind::Long);
   auto *V = M.make<AoiPrimitive>(AoiPrimKind::Void);
   AoiInterface *If = M.makeInterface();
-  If->Name = If->ScopedName = "I";
+  If->Name = If->ScopedName = 'I';
   AoiOperation Op;
   Op.Name = "bad";
   Op.ReturnType = V;
@@ -158,9 +158,9 @@ TEST(Verify, VoidParameterRejected) {
   AoiModule M;
   auto *V = M.make<AoiPrimitive>(AoiPrimKind::Void);
   AoiInterface *If = M.makeInterface();
-  If->Name = If->ScopedName = "I";
+  If->Name = If->ScopedName = 'I';
   AoiOperation Op;
-  Op.Name = "f";
+  Op.Name = 'f';
   Op.ReturnType = V;
   Op.RequestCode = 1;
   Op.Params = {AoiParam{AoiParamDir::In, "x", V, SourceLoc()}};
